@@ -58,8 +58,7 @@ hdc::EncodedSample make_sample(std::size_t dim, std::uint64_t seed) {
   util::Rng rng(seed);
   hdc::EncodedSample s;
   s.real = hdc::random_gaussian(dim, rng);
-  s.bipolar = s.real.sign();
-  s.binary = s.bipolar.pack();
+  s.binary = s.real.sign_packed();
   double n2 = 0.0;
   for (const double v : s.real.values()) {
     n2 += v * v;
@@ -307,8 +306,6 @@ int run_kernel_json(const std::string& path) {
   util::Rng rng(0xBE7C);
   const hdc::RealHV ra = hdc::random_gaussian(kDim, rng);
   const hdc::RealHV rb = hdc::random_gaussian(kDim, rng);
-  const hdc::BipolarHV pa = hdc::random_bipolar(kDim, rng);
-  const hdc::BipolarHV pb = hdc::random_bipolar(kDim, rng);
   const hdc::BinaryHV ba = hdc::random_binary(kDim, rng);
   const hdc::BinaryHV bb = hdc::random_binary(kDim, rng);
   const hdc::BinaryHV mask = hdc::random_binary(kDim, rng);
@@ -341,7 +338,6 @@ int run_kernel_json(const std::string& path) {
     const hdc::BinaryHV mrow = hdc::random_binary(kDim, rng);
     std::memcpy(ternary_masks.data() + r * kWords, mrow.words().data(), kWords * 8);
   }
-  std::vector<std::int8_t> sign_bipolar(kDim);
   std::vector<std::uint64_t> sign_bits(kWords);
   for (double& x : gemm_a) {
     x = rng.normal();
@@ -369,18 +365,9 @@ int run_kernel_json(const std::string& path) {
 
   const double* pra = ra.values().data();
   const double* prb = rb.values().data();
-  const std::int8_t* ppa = pa.values().data();
-  const std::int8_t* ppb = pb.values().data();
   const std::uint64_t* pba = ba.words().data();
   const std::uint64_t* pbb = bb.words().data();
   const std::uint64_t* pmask = mask.words().data();
-
-  struct RealKernelCase {
-    const char* name;
-    double bytes;
-    double (*run)(const hdc::KernelBackend&, const double*, const std::int8_t*,
-                  const std::uint64_t*, const std::uint64_t*, const double*, std::size_t);
-  };
 
   // Seed references first (they anchor the speedup figures).
   const double seed_drb = time_ns([&] {
@@ -394,9 +381,6 @@ int run_kernel_json(const std::string& path) {
 
     ns = time_ns([&] { benchmark::DoNotOptimize(kb->dot_real_real(pra, prb, kDim)); });
     report_backend(kernels["dot_real_real"], b.c_str(), 2.0 * kDim * 8, ns);
-
-    ns = time_ns([&] { benchmark::DoNotOptimize(kb->dot_real_bipolar(pra, ppa, kDim)); });
-    report_backend(kernels["dot_real_bipolar"], b.c_str(), kDim * 9.0, ns);
 
     ns = time_ns([&] { benchmark::DoNotOptimize(kb->dot_real_binary(pra, pba, kDim)); });
     report_backend(kernels["dot_real_binary"], b.c_str(), kDim * 8.0 + kWords * 8.0, ns);
@@ -412,15 +396,9 @@ int run_kernel_json(const std::string& path) {
         [&] { benchmark::DoNotOptimize(kb->masked_bipolar_dot(pba, pbb, pmask, kWords)); });
     report_backend(kernels["masked_bipolar_dot"], b.c_str(), 3.0 * kWords * 8, ns);
 
-    ns = time_ns([&] { benchmark::DoNotOptimize(kb->bipolar_dot_dense(ppa, ppb, kDim)); });
-    report_backend(kernels["bipolar_dot_dense"], b.c_str(), 2.0 * kDim, ns);
-
     double* pacc = accum.values().data();
     ns = time_ns([&] { kb->add_scaled_real(pacc, prb, 0.01, kDim); });
     report_backend(kernels["add_scaled_real"], b.c_str(), 3.0 * kDim * 8, ns);
-
-    ns = time_ns([&] { kb->add_scaled_bipolar(pacc, ppa, 0.01, kDim); });
-    report_backend(kernels["add_scaled_bipolar"], b.c_str(), 2.0 * kDim * 8 + kDim, ns);
 
     ns = time_ns([&] { kb->add_scaled_binary(pacc, pba, 0.01, kDim); });
     report_backend(kernels["add_scaled_binary"], b.c_str(),
@@ -514,11 +492,9 @@ int run_kernel_json(const std::string& path) {
     report_backend(kernels["rff_rematerialize"], b.c_str(),
                    kRematTile * kFeatures * 8.0, ns);
 
-    // Fused sign binarization of one encoded row.
-    ns = time_ns(
-        [&] { kb->sign_encode(pra, sign_bipolar.data(), sign_bits.data(), kDim); });
-    report_backend(kernels["sign_encode"], b.c_str(), kDim * 8.0 + kDim + kWords * 8.0,
-                   ns);
+    // Sign binarization of one encoded row into packed bits.
+    ns = time_ns([&] { kb->sign_encode(pra, sign_bits.data(), kDim); });
+    report_backend(kernels["sign_encode"], b.c_str(), kDim * 8.0 + kWords * 8.0, ns);
   }
 
   kernels["dot_real_binary"]["seed"]["ns_per_op"] = bench::JsonValue::number(seed_drb);
@@ -668,8 +644,7 @@ int run_kernel_json(const std::string& path) {
                       std::vector<double>(row.begin(), row.end()), scratch);
       hdc::EncodedSample s;
       s.real = hdc::RealHV(scratch);
-      s.bipolar = s.real.sign();
-      s.binary = s.bipolar.pack();
+      s.binary = s.real.sign_packed();
       double n2 = 0.0;
       for (const double v : scratch) {
         n2 += v * v;

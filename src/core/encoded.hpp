@@ -7,8 +7,9 @@
 // encoded buffer).
 //
 // Storage is SoA: one contiguous cache-line-aligned row-major B×D real
-// matrix, one dense B×D bipolar plane, one packed B×⌈D/64⌉ bit-plane, and
-// flat norm/norm²/target arrays. sample(i) hands out an EncodedSampleView
+// matrix, one packed B×⌈D/64⌉ sign bit-plane (the only ±1 form: search,
+// prediction and binary-query updates all read it), and flat
+// norm/norm²/target arrays. sample(i) hands out an EncodedSampleView
 // over row i, so the per-sample training/prediction code is unchanged, while
 // the flat planes feed the GEMM batch kernels (encode_batch_into,
 // dot_rows-based bank prediction) without any per-sample allocation.
@@ -98,8 +99,6 @@ class EncodedDataset {
   /// View of encoded row i; valid until the dataset is modified or destroyed.
   [[nodiscard]] hdc::EncodedSampleView sample(std::size_t i) const noexcept {
     return {hdc::RealHVView(std::span<const double>(real_.data() + i * dim_, dim_)),
-            hdc::BipolarHVView(
-                std::span<const std::int8_t>(bipolar_.data() + i * dim_, dim_)),
             hdc::BinaryHVView(
                 dim_, std::span<const std::uint64_t>(binary_.data() + i * words_, words_)),
             norm_[i], norm2_[i]};
@@ -114,13 +113,9 @@ class EncodedDataset {
   [[nodiscard]] std::span<const double> real_plane() const noexcept {
     return {real_.data(), real_.size()};
   }
-  /// Dense ±1 bipolar plane (dim doubles-worth of int8 per row) for the
-  /// binary-query update slices of the mini-batch trainer.
-  [[nodiscard]] std::span<const std::int8_t> bipolar_plane() const noexcept {
-    return {bipolar_.data(), bipolar_.size()};
-  }
-  /// Packed bit plane (words_per_row() words per row) for the popcount bank
-  /// kernels; padding bits of each row's final word are zero.
+  /// Packed sign plane (words_per_row() words per row) for the popcount bank
+  /// kernels and the binary-query update slices of the mini-batch trainers;
+  /// padding bits of each row's final word are zero.
   [[nodiscard]] std::span<const std::uint64_t> binary_plane() const noexcept {
     return {binary_.data(), binary_.size()};
   }
@@ -135,7 +130,6 @@ class EncodedDataset {
   std::size_t dim_ = 0;
   std::size_t words_ = 0;
   util::AlignedVector<double> real_;
-  util::AlignedVector<std::int8_t> bipolar_;
   util::AlignedVector<std::uint64_t> binary_;
   std::vector<double> norm_;
   std::vector<double> norm2_;

@@ -80,7 +80,7 @@ void HdClustering::init_centers(const EncodedDataset& data, std::uint64_t seed) 
     chosen.push_back(pick);
   }
   for (std::size_t c = 0; c < config_.clusters; ++c) {
-    centers_[c].accumulator = data.sample(chosen[c]).bipolar.to_real();
+    centers_[c].accumulator = data.sample(chosen[c]).binary.to_real();
     centers_[c].norm2 = static_cast<double>(config_.dim);
     centers_[c].requantize();
   }

@@ -63,7 +63,7 @@ void update_accumulator(hdc::RealHV& accumulator, const hdc::EncodedSampleView& 
   if (precision == QueryPrecision::kReal) {
     hdc::add_scaled(accumulator, sample.real, coeff);
   } else {
-    hdc::add_scaled(accumulator, sample.bipolar, coeff);
+    hdc::add_scaled(accumulator, sample.binary, coeff);
   }
 }
 

@@ -48,7 +48,7 @@ struct RegressionModel {
                                  PredictionMode mode);
 
 /// Accumulator update M += coeff·S with the sample taken at the given query
-/// precision (real encoder output vs bipolar sign vector).
+/// precision (real encoder output vs packed sign vector).
 void update_accumulator(hdc::RealHV& accumulator, const hdc::EncodedSampleView& sample,
                         double coeff, QueryPrecision precision);
 

@@ -306,18 +306,16 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   REGHD_INTERNAL_CHECK(bank.rows == k_c + k_m && bank.words == words,
                        "packed bank geometry " << bank.rows << "×" << bank.words
                                                << " does not match predict shape");
-  thread_local std::vector<std::int8_t> bipolar;
   thread_local std::vector<std::uint64_t> qwords;
   thread_local std::vector<std::int64_t> block_scores;
   thread_local std::vector<std::int64_t> totals;
-  bipolar.resize(kFusedBlock);
   qwords.resize(kFusedBlock / 64);
   block_scores.resize(bank.rows);
   totals.assign(bank.rows, 0);
   for (std::size_t j0 = 0; j0 < d; j0 += kFusedBlock) {
     const std::size_t len = std::min(kFusedBlock, d - j0);
     encoder.encode_real_block(features, j0, len, block.data());
-    kb.sign_encode(block.data(), bipolar.data(), qwords.data(), len);
+    kb.sign_encode(block.data(), qwords.data(), len);
     const std::size_t w0 = j0 / 64;
     kb.dot_rows_ternary(qwords.data(), bank.signs.data() + w0,
                         bank.masks.data() + w0, bank.words, bank.rows, len,
@@ -850,7 +848,7 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
   // accumulator component the coefficients chain in ascending list order j,
   // exactly as a serial sample-order replay, and slicing cannot perturb that:
   // add_scaled_real rounds every component as an independent mul-then-add and
-  // add_scaled_bipolar adds an exact ±coeff, so a component's value never
+  // add_scaled_binary adds an exact ±coeff, so a component's value never
   // depends on which slice (or thread) computed it. Looping j outer / model
   // inner keeps each sample's row slice hot across the k model updates and
   // streams the encoded plane exactly once per batch — the per-model-chain
@@ -861,14 +859,16 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
     const std::size_t d = config_.dim;
     const bool real_updates = config_.query_precision == QueryPrecision::kReal;
     const double* real_rows = data.real_plane().data();
-    const std::int8_t* bipolar_rows = data.bipolar_plane().data();
+    const std::uint64_t* binary_rows = data.binary_plane().data();
+    const std::size_t words = data.words_per_row();
     const std::size_t workers =
         use_threads != 0 ? use_threads : util::default_thread_count();
-    // Cache-line-aligned slice boundaries; boundary placement is free to vary
-    // with the worker count because component rounding is position-blind.
+    // Slice boundaries on 64-component words, so each slice of a packed sign
+    // row starts at a whole word; boundary placement is free to vary with
+    // the worker count because component rounding is position-blind.
     const std::size_t slices = std::min(std::max<std::size_t>(workers, 1),
-                                        std::max<std::size_t>(d / 8, 1));
-    const std::size_t chunk = (((d + slices - 1) / slices) + 7) & ~std::size_t{7};
+                                        std::max<std::size_t>(d / 64, 1));
+    const std::size_t chunk = (((d + slices - 1) / slices) + 63) & ~std::size_t{63};
     util::parallel_for(
         slices,
         [&](std::size_t s) {
@@ -890,7 +890,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
                 if (real_updates) {
                   kb.add_scaled_real(acc, real_rows + row * d + d0, coeff[m], len);
                 } else {
-                  kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, coeff[m], len);
+                  kb.add_scaled_binary(acc, binary_rows + row * words + d0 / 64, coeff[m],
+                                       len);
                 }
               }
             } else {
@@ -898,8 +899,8 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
               if (real_updates) {
                 kb.add_scaled_real(acc, real_rows + row * d + d0, batch_wcoeff_[j], len);
               } else {
-                kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, batch_wcoeff_[j],
-                                      len);
+                kb.add_scaled_binary(acc, binary_rows + row * words + d0 / 64,
+                                     batch_wcoeff_[j], len);
               }
             }
           }
@@ -1020,7 +1021,7 @@ void MultiModelRegressor::init_clusters_from_samples(const EncodedDataset& train
 
   for (std::size_t c = 0; c < config_.models; ++c) {
     ClusterCenter& center = clusters_[c];
-    center.accumulator = train.sample(chosen[c]).bipolar.to_real();
+    center.accumulator = train.sample(chosen[c]).binary.to_real();
     center.norm2 = static_cast<double>(config_.dim);
     center.requantize();
   }

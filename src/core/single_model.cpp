@@ -80,18 +80,20 @@ void SingleModelRegressor::train_batch(const EncodedDataset& data,
   // Phase 2 — apply the updates in ascending list order, dimension-sliced
   // across workers. Per accumulator component the coefficients chain in list
   // order exactly as a serial replay: add_scaled_real rounds each component
-  // as an independent mul-then-add and add_scaled_bipolar adds an exact
+  // as an independent mul-then-add and add_scaled_binary adds an exact
   // ±coeff, so no component's value depends on slice boundaries (and hence
-  // on the thread count).
+  // on the thread count). Boundaries fall on 64-component words so each
+  // slice of a packed sign row starts at a whole word.
   const hdc::KernelBackend& kb = hdc::active_backend();
   const std::size_t d = config_.dim;
   const bool real_updates = config_.query_precision == QueryPrecision::kReal;
   const double* real_rows = data.real_plane().data();
-  const std::int8_t* bipolar_rows = data.bipolar_plane().data();
+  const std::uint64_t* binary_rows = data.binary_plane().data();
+  const std::size_t words = data.words_per_row();
   const std::size_t workers = use_threads != 0 ? use_threads : util::default_thread_count();
   const std::size_t slices =
-      std::min(std::max<std::size_t>(workers, 1), std::max<std::size_t>(d / 8, 1));
-  const std::size_t chunk = (((d + slices - 1) / slices) + 7) & ~std::size_t{7};
+      std::min(std::max<std::size_t>(workers, 1), std::max<std::size_t>(d / 64, 1));
+  const std::size_t chunk = (((d + slices - 1) / slices) + 63) & ~std::size_t{63};
   util::parallel_for(
       slices,
       [&](std::size_t s) {
@@ -106,8 +108,8 @@ void SingleModelRegressor::train_batch(const EncodedDataset& data,
           if (real_updates) {
             kb.add_scaled_real(acc, real_rows + row * d + d0, batch_coeff_[j], d1 - d0);
           } else {
-            kb.add_scaled_bipolar(acc, bipolar_rows + row * d + d0, batch_coeff_[j],
-                                  d1 - d0);
+            kb.add_scaled_binary(acc, binary_rows + row * words + d0 / 64, batch_coeff_[j],
+                                 d1 - d0);
           }
         }
       },

@@ -63,7 +63,7 @@ double simulate_false_positive_rate(const CapacityQuery& query, std::size_t tria
   const double cut = query.threshold * static_cast<double>(query.dimension);
   std::size_t hits = 0;
   for (std::size_t t = 0; t < trials; ++t) {
-    const BipolarHV probe = random_bipolar(query.dimension, rng);
+    const BinaryHV probe = random_bipolar(query.dimension, rng);
     if (dot(memory, probe) > cut) {
       ++hits;
     }

@@ -99,8 +99,7 @@ EncodedSample Encoder::encode(std::span<const double> features) const {
   obs::count(obs::Counter::kEncodeRows);
   EncodedSample out;
   out.real = encode_real(features);
-  out.bipolar = out.real.sign();
-  out.binary = out.bipolar.pack();
+  out.binary = out.real.sign_packed();
   const auto v = out.real.values();
   const double norm2 = active_backend().dot_real_real(v.data(), v.data(), v.size());
   out.real_norm2 = norm2;
@@ -121,9 +120,8 @@ void Encoder::check_arena(std::span<const double> rows_flat, std::size_t num_row
               "encode_batch_into: arena words_per_row " << out.words_per_row
                                                         << " is wrong for dim "
                                                         << config_.dim);
-  REGHD_CHECK(num_rows == 0 || (out.real != nullptr && out.bipolar != nullptr &&
-                                out.binary != nullptr && out.norm != nullptr &&
-                                out.norm2 != nullptr),
+  REGHD_CHECK(num_rows == 0 || (out.real != nullptr && out.binary != nullptr &&
+                                out.norm != nullptr && out.norm2 != nullptr),
               "encode_batch_into: arena planes must be non-null");
 }
 
@@ -131,7 +129,7 @@ void Encoder::finalize_encoded_row(const EncodedArenaRef& out, std::size_t row) 
   const KernelBackend& kb = active_backend();
   const std::size_t d = config_.dim;
   const double* z = out.real + row * d;
-  kb.sign_encode(z, out.bipolar + row * d, out.binary + row * out.words_per_row, d);
+  kb.sign_encode(z, out.binary + row * out.words_per_row, d);
   const double norm2 = kb.dot_real_real(z, z, d);
   out.norm2[row] = norm2;
   out.norm[row] = std::sqrt(norm2);
@@ -204,9 +202,9 @@ void NonlinearFeatureEncoder::encode_real_into(std::span<const double> features,
     const double half_sin2 = 0.5 * std::sin(2.0 * features[k]);
     const double sinf = std::sin(features[k]);
     s += sinf * sinf;
-    // g += half_sin2 · B_k — the ±1 axpy kernel (multiplying by ±1.0 is
+    // g += half_sin2 · B_k — the packed-sign axpy kernel (±half_sin2 is
     // exact, so this matches the branchy form bit-for-bit).
-    kb.add_scaled_bipolar(g.data(), bases_[k].values().data(), half_sin2, d);
+    kb.add_scaled_binary(g.data(), bases_[k].words().data(), half_sin2, d);
   }
 
   for (std::size_t j = 0; j < d; ++j) {
@@ -218,9 +216,9 @@ RealHV NonlinearFeatureEncoder::encode_reference(std::span<const double> feature
   check_features(features);
   RealHV out(config_.dim);
   for (std::size_t k = 0; k < config_.input_dim; ++k) {
-    const auto base = bases_[k].values();
+    const BinaryHV& base = bases_[k];
     for (std::size_t j = 0; j < config_.dim; ++j) {
-      const double arg = features[k] * static_cast<double>(base[j]);
+      const double arg = features[k] * static_cast<double>(base.bipolar(j));
       out[j] += std::cos(arg + phase_[j]) * std::sin(arg);
     }
   }

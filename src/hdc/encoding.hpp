@@ -5,11 +5,13 @@
 //
 //  * NonlinearFeatureEncoder — the paper's Eq. 1, literally:
 //        H_j = Σ_k cos(f_k·B_{k,j} + b_j) · sin(f_k·B_{k,j})
-//    with random bipolar base hypervectors B_k and a random phase vector b.
+//    with random ±1 base hypervectors B_k (stored packed) and a random
+//    phase vector b.
 //    Because B_{k,j} = ±1, the sum factors exactly as
 //        H_j = cos(b_j) · Σ_k B_{k,j}·(sin 2f_k)/2  −  sin(b_j) · Σ_k sin²f_k
 //    which turns the O(n·D) trigonometric evaluation into 2n trig calls, one
-//    ±1 projection, and one fused axpy. encode_reference() keeps the direct
+//    packed-sign projection (n add_scaled_binary passes), and one fused
+//    axpy. encode_reference() keeps the direct
 //    form; the test suite pins their equality to float tolerance.
 //
 //  * RffProjectionEncoder — the random-Fourier-feature variant used across
@@ -24,9 +26,9 @@
 //    alternative.
 //
 // All encoders are deterministic functions of (config, seed). encode()
-// returns the three coupled representations RegHD consumes: the real-valued
-// encoder output ("integer query" of §3.2), its ±1 sign vector S, and the
-// packed binary form S^b.
+// returns the two coupled representations RegHD consumes: the real-valued
+// encoder output ("integer query" of §3.2) and its ±1 sign vector S, stored
+// packed — S and the binary query S^b are one BinaryHV.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +41,10 @@
 
 namespace reghd::hdc {
 
-/// One encoded data point in all three coupled representations.
+/// One encoded data point in both coupled representations.
 struct EncodedSample {
-  RealHV real;        ///< Pre-binarization encoder output.
-  BipolarHV bipolar;  ///< S = sign(real) ∈ {−1,+1}^D.
-  BinaryHV binary;    ///< S^b — packed form of S.
+  RealHV real;      ///< Pre-binarization encoder output.
+  BinaryHV binary;  ///< S = S^b = sign(real), packed (bit 1 ⇔ +1).
   double real_norm = 0.0;   ///< ‖real‖, cached for cosine similarity.
   double real_norm2 = 0.0;  ///< ‖real‖², cached for incremental norm updates.
 };
@@ -54,18 +55,15 @@ struct EncodedSample {
 /// predict / checkpoint code is written once against this type.
 struct EncodedSampleView {
   RealHVView real;
-  BipolarHVView bipolar;
   BinaryHVView binary;
   double real_norm = 0.0;
   double real_norm2 = 0.0;
 
   EncodedSampleView() = default;
-  EncodedSampleView(RealHVView r, BipolarHVView s, BinaryHVView b, double norm,
-                    double norm2)
-      : real(r), bipolar(s), binary(b), real_norm(norm), real_norm2(norm2) {}
+  EncodedSampleView(RealHVView r, BinaryHVView b, double norm, double norm2)
+      : real(r), binary(b), real_norm(norm), real_norm2(norm2) {}
   EncodedSampleView(const EncodedSample& s)  // NOLINT(google-explicit-constructor)
       : real(s.real),
-        bipolar(s.bipolar),
         binary(s.binary),
         real_norm(s.real_norm),
         real_norm2(s.real_norm2) {}
@@ -73,8 +71,7 @@ struct EncodedSampleView {
   /// Deep-copies the viewed row into an owning sample (fault-injection tests
   /// and other callers that mutate a sample start from this).
   [[nodiscard]] EncodedSample materialize() const {
-    return {real.to_owning(), bipolar.to_owning(), binary.to_owning(), real_norm,
-            real_norm2};
+    return {real.to_owning(), binary.to_owning(), real_norm, real_norm2};
   }
 };
 
@@ -85,7 +82,6 @@ struct EncodedSampleView {
 /// zero-initialized: encoders accumulate into it.
 struct EncodedArenaRef {
   double* real = nullptr;
-  std::int8_t* bipolar = nullptr;
   std::uint64_t* binary = nullptr;
   double* norm = nullptr;
   double* norm2 = nullptr;
@@ -175,7 +171,7 @@ class Encoder {
   /// features.size() != input_dim().
   [[nodiscard]] RealHV encode_real(std::span<const double> features) const;
 
-  /// Maps features to all three coupled representations.
+  /// Maps features to both coupled representations (real and packed sign).
   [[nodiscard]] EncodedSample encode(std::span<const double> features) const;
 
   /// Encodes `num_rows` feature vectors stored contiguously row-major in
@@ -188,9 +184,9 @@ class Encoder {
       std::size_t threads = 0) const;
 
   /// Encodes `num_rows` rows directly into a SoA arena (see EncodedArenaRef):
-  /// zero per-sample allocations, fused sign/pack, and — for encoders with a
-  /// batched projection stage (RFF) — a cache-blocked GEMM that preserves the
-  /// per-component accumulation order. Row r of the arena is bit-identical to
+  /// zero per-sample allocations, sign_encode straight into the bit-plane,
+  /// and — for encoders with a batched projection stage (RFF) — a
+  /// cache-blocked GEMM that preserves the per-component accumulation order. Row r of the arena is bit-identical to
   /// encode(row r) for any thread count or kernel backend.
   virtual void encode_batch_into(std::span<const double> rows_flat,
                                  std::size_t num_rows, const EncodedArenaRef& out,
@@ -223,9 +219,9 @@ class Encoder {
   /// the per-row and the arena path at once.
   virtual void encode_real_into(std::span<const double> features, double* out) const = 0;
 
-  /// Derives the bipolar/binary/norm row of the arena from its (already
-  /// encoded) real row — the fused sign_encode kernel plus the same
-  /// dot_real_real norm encode() computes.
+  /// Derives the packed-sign/norm row of the arena from its (already
+  /// encoded) real row — the sign_encode kernel plus the same dot_real_real
+  /// norm encode() computes.
   void finalize_encoded_row(const EncodedArenaRef& out, std::size_t row) const;
 
   EncoderConfig config_;
@@ -244,7 +240,7 @@ class NonlinearFeatureEncoder final : public Encoder {
   void encode_real_into(std::span<const double> features, double* out) const override;
 
  private:
-  std::vector<BipolarHV> bases_;    ///< B_k, one per feature.
+  std::vector<BinaryHV> bases_;    ///< B_k, one per feature (bit 1 ⇔ +1).
   std::vector<double> phase_;      ///< b_j.
   std::vector<double> cos_phase_;  ///< cos(b_j), precomputed.
   std::vector<double> sin_phase_;  ///< sin(b_j), precomputed.

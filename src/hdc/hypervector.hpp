@@ -1,20 +1,20 @@
 // Hypervector value types.
 //
-// RegHD manipulates three representations of a D-dimensional hypervector:
+// RegHD manipulates two representations of a D-dimensional hypervector:
 //
-//  * RealHV    — dense double components. Used for the pre-binarization
-//                encoder output, the integer/accumulator models M, and the
-//                integer cluster centers C (the paper's "integer" vectors —
-//                high-precision accumulators as opposed to binary ones).
-//  * BipolarHV — dense ±1 components (int8). The paper's encoded sample
-//                S ∈ {−1,+1}^D; the cheap form for model updates M += c·S.
-//  * BinaryHV  — bit-packed {0,1}^D (64 dims per machine word, bit 1 ⇔ +1).
-//                The quantized form of §3: Hamming-distance similarity and
-//                multiply-free dot products via XOR + popcount.
+//  * RealHV   — dense double components. Used for the pre-binarization
+//               encoder output, the integer/accumulator models M, and the
+//               integer cluster centers C (the paper's "integer" vectors —
+//               high-precision accumulators as opposed to binary ones).
+//  * BinaryHV — bit-packed {0,1}^D (64 dims per machine word, bit 1 ⇔ +1).
+//               The library's only ±1 form: the paper's encoded sample
+//               S ∈ {−1,+1}^D and its quantized query S^b (§3.2) are the
+//               same packed vector. Model updates M += c·S apply ±c by an
+//               IEEE sign-bit XOR per bit, Hamming-distance similarity and
+//               multiply-free dot products run as XOR + popcount.
 //
-// Conversions preserve the bipolar interpretation: bit b encodes component
-// 2b − 1, so Hamming distance h between two BinaryHVs and the bipolar dot
-// product d of the corresponding BipolarHVs obey d = D − 2h exactly. The
+// Bit b encodes component 2b − 1, so the Hamming distance h between two
+// BinaryHVs and their bipolar dot product d obey d = D − 2h exactly. The
 // test suite pins this identity.
 #pragma once
 
@@ -28,7 +28,6 @@
 
 namespace reghd::hdc {
 
-class BipolarHV;
 class BinaryHV;
 
 /// Dense real-valued hypervector.
@@ -54,55 +53,15 @@ class RealHV {
   /// Resets every component to zero without changing the dimensionality.
   void clear() noexcept { std::fill(data_.begin(), data_.end(), 0.0); }
 
-  /// Component-wise sign binarization to ±1; zero maps to +1 so the result
-  /// is always a valid bipolar vector.
-  [[nodiscard]] BipolarHV sign() const;
-
-  /// Sign binarization straight to the packed form.
+  /// Component-wise sign binarization to the packed form under the one sign
+  /// rule of KernelBackend::sign_encode: bit set (+1) unless the component
+  /// compares below zero, so ±0 and NaN map to +1.
   [[nodiscard]] BinaryHV sign_packed() const;
 
   bool operator==(const RealHV&) const = default;
 
  private:
   std::vector<double> data_;
-};
-
-/// Dense ±1 hypervector stored as int8 components.
-class BipolarHV {
- public:
-  BipolarHV() = default;
-
-  /// All-(+1) hypervector of the given dimensionality.
-  explicit BipolarHV(std::size_t dim) : data_(dim, +1) {}
-
-  /// Adopts component values; every element must be +1 or −1.
-  explicit BipolarHV(std::vector<std::int8_t> values);
-
-  [[nodiscard]] std::size_t dim() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
-
-  [[nodiscard]] std::int8_t operator[](std::size_t i) const noexcept { return data_[i]; }
-
-  /// Sets component i to +1 or −1.
-  void set(std::size_t i, std::int8_t value) {
-    REGHD_CHECK(value == 1 || value == -1, "bipolar component must be ±1, got "
-                                               << static_cast<int>(value));
-    data_[i] = value;
-  }
-
-  [[nodiscard]] std::span<const std::int8_t> values() const noexcept { return data_; }
-
-  /// Packs into the bit representation (bit 1 ⇔ +1).
-  [[nodiscard]] BinaryHV pack() const;
-
-  /// Widens to a real hypervector.
-  [[nodiscard]] RealHV to_real() const;
-
-  bool operator==(const BipolarHV&) const = default;
-
- private:
-  friend class RealHV;  // sign() writes ±1 directly, skipping re-validation.
-  std::vector<std::int8_t> data_;
 };
 
 /// Bit-packed binary hypervector; bit 1 encodes bipolar +1, bit 0 encodes −1.
@@ -147,18 +106,12 @@ class BinaryHV {
   /// Number of set bits.
   [[nodiscard]] std::size_t popcount() const noexcept;
 
-  /// Unpacks to the dense ±1 representation.
-  [[nodiscard]] BipolarHV unpack() const;
-
   /// Widens to a real ±1 hypervector.
   [[nodiscard]] RealHV to_real() const;
 
   bool operator==(const BinaryHV&) const = default;
 
  private:
-  friend class RealHV;
-  friend class BipolarHV;
-
   std::size_t dim_ = 0;
   std::vector<std::uint64_t> words_;
 };
@@ -170,7 +123,7 @@ class BinaryHV {
 // contiguous planes instead of per-sample vectors; these views give that
 // storage the same read interface as the owning types. Owning hypervectors
 // convert implicitly, so every read-only kernel signature that takes a view
-// still accepts a RealHV / BipolarHV / BinaryHV at the call site.
+// still accepts a RealHV / BinaryHV at the call site.
 // ---------------------------------------------------------------------------
 
 /// Read-only view of a dense real hypervector.
@@ -197,35 +150,6 @@ class RealHVView {
   std::span<const double> data_;
 };
 
-/// Read-only view of a dense ±1 hypervector.
-class BipolarHVView {
- public:
-  BipolarHVView() = default;
-  explicit BipolarHVView(std::span<const std::int8_t> values) : data_(values) {}
-  BipolarHVView(const BipolarHV& hv) : data_(hv.values()) {}  // NOLINT(google-explicit-constructor)
-
-  [[nodiscard]] std::size_t dim() const noexcept { return data_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return data_.empty(); }
-  [[nodiscard]] std::int8_t operator[](std::size_t i) const noexcept { return data_[i]; }
-  [[nodiscard]] std::span<const std::int8_t> values() const noexcept { return data_; }
-
-  /// Widens to an owning real hypervector.
-  [[nodiscard]] RealHV to_real() const;
-
-  /// Copies the viewed components into an owning hypervector.
-  [[nodiscard]] BipolarHV to_owning() const {
-    return BipolarHV(std::vector<std::int8_t>{data_.begin(), data_.end()});
-  }
-
-  friend bool operator==(const BipolarHVView& a, const BipolarHVView& b) noexcept {
-    return a.data_.size() == b.data_.size() &&
-           std::equal(a.data_.begin(), a.data_.end(), b.data_.begin());
-  }
-
- private:
-  std::span<const std::int8_t> data_;
-};
-
 /// Read-only view of a bit-packed binary hypervector. The viewed words obey
 /// the same invariant as BinaryHV: padding bits of the final word are zero.
 class BinaryHVView {
@@ -247,6 +171,9 @@ class BinaryHVView {
 
   /// Bipolar value of component i: +1 for a set bit, −1 otherwise.
   [[nodiscard]] int bipolar(std::size_t i) const noexcept { return bit(i) ? +1 : -1; }
+
+  /// Widens to a real ±1 hypervector.
+  [[nodiscard]] RealHV to_real() const;
 
   /// Copies the viewed words into an owning hypervector.
   [[nodiscard]] BinaryHV to_owning() const;

@@ -45,17 +45,6 @@ double scalar_dot_real_real(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-double scalar_dot_real_bipolar(const double* a, const std::int8_t* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    // b[i] ∈ {−1,+1}: flip the sign of a[i] when b[i] is negative.
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(a[i]) ^ flip);
-  }
-  return acc;
-}
-
 double scalar_dot_real_binary(const double* a, const std::uint64_t* bits, std::size_t n) {
   double acc = 0.0;
   std::size_t i = 0;
@@ -114,27 +103,9 @@ std::int64_t scalar_masked_bipolar_dot(const std::uint64_t* a, const std::uint64
   return 2 * agree - active;
 }
 
-std::int64_t scalar_bipolar_dot_dense(const std::int8_t* a, const std::int8_t* b,
-                                      std::size_t n) {
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
-  }
-  return acc;
-}
-
 void scalar_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     a[i] += c * b[i];
-  }
-}
-
-void scalar_add_scaled_bipolar(double* a, const std::int8_t* b, double c, std::size_t n) {
-  const std::uint64_t c_bits = std::bit_cast<std::uint64_t>(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    a[i] += std::bit_cast<double>(c_bits ^ flip);
   }
 }
 
@@ -270,17 +241,14 @@ void scalar_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
   }
 }
 
-void scalar_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                        std::size_t n) {
+void scalar_sign_encode(const double* v, std::uint64_t* bits, std::size_t n) {
   const std::size_t words = (n + 63) / 64;
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t base = w << 6;
     const std::size_t limit = std::min<std::size_t>(64, n - base);
     std::uint64_t word = 0;
     for (std::size_t j = 0; j < limit; ++j) {
-      const bool neg = v[base + j] < 0.0;
-      bipolar[base + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(neg));
-      word |= static_cast<std::uint64_t>(!neg) << j;
+      word |= static_cast<std::uint64_t>(!(v[base + j] < 0.0)) << j;
     }
     bits[w] = word;
   }
@@ -290,14 +258,11 @@ constexpr KernelBackend kScalarBackend{
     "scalar",
     1,
     scalar_dot_real_real,
-    scalar_dot_real_bipolar,
     scalar_dot_real_binary,
     scalar_masked_dot,
     scalar_hamming,
     scalar_masked_bipolar_dot,
-    scalar_bipolar_dot_dense,
     scalar_add_scaled_real,
-    scalar_add_scaled_bipolar,
     scalar_add_scaled_binary,
     scalar_merge_accumulate,
     scalar_scale_real,

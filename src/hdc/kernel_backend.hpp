@@ -2,7 +2,9 @@
 //
 // Every hot hypervector kernel (the §3.2 prediction dots, Hamming popcounts,
 // masked ternary kernels, and the add_scaled accumulation family) exists in
-// several implementations:
+// several implementations. Every ±1 operand is bit-packed (bit 1 ⇔ +1, the
+// BinaryHV layout): a sign is applied by XOR-ing it into the IEEE sign bit
+// of the real operand, never by widening it to a dense ±1 vector.
 //
 //  * scalar — portable C++, branchless where the seed code branched per bit
 //             (sign application via IEEE-754 sign-bit XOR instead of a
@@ -62,8 +64,6 @@ struct KernelBackend {
 
   /// Σ a[i]·b[i].
   double (*dot_real_real)(const double* a, const double* b, std::size_t n);
-  /// Σ ±a[i] with the sign taken from a dense ±1 vector.
-  double (*dot_real_bipolar)(const double* a, const std::int8_t* b, std::size_t n);
   /// Σ ±a[i] with the sign taken from packed bits (bit 1 ⇔ +1).
   double (*dot_real_binary)(const double* a, const std::uint64_t* bits, std::size_t n);
   /// Σ over mask-set dims of ±a[i], signs from packed bits.
@@ -75,13 +75,8 @@ struct KernelBackend {
   /// 2·popcount(XNOR(a,b) ∧ mask) − popcount(mask) over whole words.
   std::int64_t (*masked_bipolar_dot)(const std::uint64_t* a, const std::uint64_t* b,
                                      const std::uint64_t* mask, std::size_t words);
-  /// Σ a[i]·b[i] over dense ±1 vectors.
-  std::int64_t (*bipolar_dot_dense)(const std::int8_t* a, const std::int8_t* b,
-                                    std::size_t n);
   /// a[i] += c·b[i].
   void (*add_scaled_real)(double* a, const double* b, double c, std::size_t n);
-  /// a[i] += ±c, signs from a dense ±1 vector.
-  void (*add_scaled_bipolar)(double* a, const std::int8_t* b, double c, std::size_t n);
   /// a[i] += ±c, signs from packed bits.
   void (*add_scaled_binary)(double* a, const std::uint64_t* bits, double c,
                             std::size_t n);
@@ -199,13 +194,14 @@ struct KernelBackend {
   void (*dot_rows_ternary)(const std::uint64_t* q, const std::uint64_t* signs,
                            const std::uint64_t* masks, std::size_t ld,
                            std::size_t num_rows, std::size_t n, std::int64_t* out);
-  /// Fused sign binarization of one encoded row:
-  ///   bipolar[i] = (v[i] < 0) ? −1 : +1,  bit i of `bits` = !(v[i] < 0)
-  /// (NaN maps to +1 / bit set, matching RealHV::sign() followed by
-  /// BipolarHV::pack()). Padding bits of the final word are written zero.
+  /// Sign binarization of one encoded row into packed bits:
+  ///   bit i of `bits` = !(v[i] < 0)
+  /// so NaN and ±0 map to bit set (+1) and only values that compare below
+  /// zero map to bit clear (−1). This is the library's single sign rule:
+  /// RealHV::sign_packed(), Encoder::encode() and the arena encoders all
+  /// route through it. Padding bits of the final word are written zero.
   /// Bit-exact across backends.
-  void (*sign_encode)(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                      std::size_t n);
+  void (*sign_encode)(const double* v, std::uint64_t* bits, std::size_t n);
 };
 
 /// The portable backend; always available.

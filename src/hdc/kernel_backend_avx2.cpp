@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 #include "hdc/rff_remat.hpp"
@@ -41,23 +40,6 @@ inline double hsum(__m256d v) {
   lo = _mm_add_pd(lo, hi);
   const __m128d shuf = _mm_unpackhi_pd(lo, lo);
   return _mm_cvtsd_f64(_mm_add_sd(lo, shuf));
-}
-
-inline std::int64_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i sum = _mm_add_epi32(lo, hi);
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(1, 0, 3, 2)));
-  sum = _mm_add_epi32(sum, _mm_shuffle_epi32(sum, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(sum);
-}
-
-/// Loads 4 consecutive int8 ±1 components as a vector of 4 doubles.
-inline __m256d load4_bipolar(const std::int8_t* p) {
-  std::int32_t raw;
-  std::memcpy(&raw, p, sizeof(raw));
-  const __m128i bytes = _mm_cvtsi32_si128(raw);
-  return _mm256_cvtepi32_pd(_mm_cvtepi8_epi32(bytes));
 }
 
 // The lane-constant vectors below are built inside each function (no
@@ -102,21 +84,6 @@ double avx2_dot_real_real(const double* a, const double* b, std::size_t n) {
   double acc = hsum(_mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
   for (; i < n; ++i) {
     acc += a[i] * b[i];
-  }
-  return acc;
-}
-
-double avx2_dot_real_bipolar(const double* a, const std::int8_t* b, std::size_t n) {
-  __m256d acc0 = _mm256_setzero_pd();
-  __m256d acc1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i), load4_bipolar(b + i), acc0);
-    acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(a + i + 4), load4_bipolar(b + i + 4), acc1);
-  }
-  double acc = hsum(_mm256_add_pd(acc0, acc1));
-  for (; i < n; ++i) {
-    acc += b[i] > 0 ? a[i] : -a[i];
   }
   return acc;
 }
@@ -232,24 +199,6 @@ std::int64_t avx2_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t
   return masked_xnor_popcount(a, b, mask, words);
 }
 
-std::int64_t avx2_bipolar_dot_dense(const std::int8_t* a, const std::int8_t* b,
-                                    std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m256i pa = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + i)));
-    const __m256i pb = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(pa, pb));
-  }
-  std::int64_t total = hsum_epi32(acc);
-  for (; i < n; ++i) {
-    total += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
-  }
-  return total;
-}
-
 void avx2_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   // mul + add (no FMA): each slot must round exactly like the scalar
   // backend's `a[i] += c * b[i]` so both tables accumulate bit-identically.
@@ -283,18 +232,6 @@ void avx2_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   }
   for (; i < n; ++i) {
     a[i] += c * b[i];
-  }
-}
-
-void avx2_add_scaled_bipolar(double* a, const std::int8_t* b, double c, std::size_t n) {
-  const __m256d cv = _mm256_set1_pd(c);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(a + i,
-                     _mm256_fmadd_pd(cv, load4_bipolar(b + i), _mm256_loadu_pd(a + i)));
-  }
-  for (; i < n; ++i) {
-    a[i] += b[i] > 0 ? c : -c;
   }
 }
 
@@ -905,18 +842,10 @@ void avx2_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
   }
 }
 
-void avx2_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                      std::size_t n) {
-  // 4 lanes per compare; the negative-lane movemask nibble both indexes a
-  // 16-entry table of ±1 byte groups and (inverted) lands in the packed word.
-  // CMP_LT_OQ is false for NaN, so NaN maps to +1 / bit set exactly like the
-  // scalar kernel (and RealHV::sign() + BipolarHV::pack()).
-  alignas(64) static constexpr std::uint32_t kNibbleBytes[16] = {
-      0x01010101U, 0x010101FFU, 0x0101FF01U, 0x0101FFFFU,
-      0x01FF0101U, 0x01FF01FFU, 0x01FFFF01U, 0x01FFFFFFU,
-      0xFF010101U, 0xFF0101FFU, 0xFF01FF01U, 0xFF01FFFFU,
-      0xFFFF0101U, 0xFFFF01FFU, 0xFFFFFF01U, 0xFFFFFFFFU,
-  };
+void avx2_sign_encode(const double* v, std::uint64_t* bits, std::size_t n) {
+  // 4 lanes per compare; the inverted negative-lane movemask nibble lands in
+  // the packed word. CMP_LT_OQ is false for NaN, so NaN maps to bit set
+  // exactly like the scalar kernel.
   const __m256d zero = _mm256_setzero_pd();
   std::size_t i = 0;
   const std::size_t full_words = n / 64;
@@ -925,7 +854,6 @@ void avx2_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits
     for (std::size_t j = 0; j < 64; j += 4) {
       const int neg =
           _mm256_movemask_pd(_mm256_cmp_pd(_mm256_loadu_pd(v + i + j), zero, _CMP_LT_OQ));
-      std::memcpy(bipolar + i + j, &kNibbleBytes[neg], sizeof(std::uint32_t));
       word |= static_cast<std::uint64_t>(~neg & 0xF) << j;
     }
     bits[w] = word;
@@ -934,9 +862,7 @@ void avx2_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits
   if (i < n) {
     std::uint64_t word = 0;
     for (std::size_t j = 0; i + j < n; ++j) {
-      const bool negative = v[i + j] < 0.0;
-      bipolar[i + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(negative));
-      word |= static_cast<std::uint64_t>(!negative) << j;
+      word |= static_cast<std::uint64_t>(!(v[i + j] < 0.0)) << j;
     }
     bits[i >> 6] = word;
   }
@@ -946,14 +872,11 @@ constexpr KernelBackend kAvx2Backend{
     "avx2",
     4,
     avx2_dot_real_real,
-    avx2_dot_real_bipolar,
     avx2_dot_real_binary,
     avx2_masked_dot,
     avx2_hamming,
     avx2_masked_bipolar_dot,
-    avx2_bipolar_dot_dense,
     avx2_add_scaled_real,
-    avx2_add_scaled_bipolar,
     avx2_add_scaled_binary,
     avx2_merge_accumulate,
     avx2_scale_real,

@@ -26,9 +26,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cstring>
 #include <numbers>
 
 #include "hdc/rff_remat.hpp"
@@ -276,27 +274,10 @@ void avx512_gemm_accumulate(const double* a, std::size_t lda, const double* b,
   }
 }
 
-/// ±1 byte groups for an 8-bit negative-lane mask: byte l is 0xFF (−1) when
-/// mask bit l is set, 0x01 (+1) otherwise.
-constexpr std::array<std::uint64_t, 256> kMaskBytes = [] {
-  std::array<std::uint64_t, 256> table{};
-  for (unsigned m = 0; m < 256; ++m) {
-    std::uint64_t v = 0;
-    for (unsigned l = 0; l < 8; ++l) {
-      const std::uint64_t byte = ((m >> l) & 1U) != 0 ? 0xFFULL : 0x01ULL;
-      v |= byte << (8 * l);
-    }
-    table[m] = v;
-  }
-  return table;
-}();
-
-void avx512_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                        std::size_t n) {
-  // One VCMPPD per 8 lanes straight into a mask register; the mask byte both
-  // indexes the ±1 byte-group table and (inverted) lands in the packed word.
-  // _CMP_LT_OQ is false for NaN, so NaN maps to +1 / bit set exactly like
-  // the scalar kernel.
+void avx512_sign_encode(const double* v, std::uint64_t* bits, std::size_t n) {
+  // One VCMPPD per 8 lanes straight into a mask register; the inverted mask
+  // byte lands in the packed word. _CMP_LT_OQ is false for NaN, so NaN maps
+  // to bit set exactly like the scalar kernel.
   const __m512d zero = _mm512_setzero_pd();
   std::size_t i = 0;
   const std::size_t full_words = n / 64;
@@ -305,7 +286,6 @@ void avx512_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bi
     for (std::size_t j = 0; j < 64; j += 8) {
       const auto neg = static_cast<unsigned>(
           _mm512_cmp_pd_mask(_mm512_loadu_pd(v + i + j), zero, _CMP_LT_OQ));
-      std::memcpy(bipolar + i + j, &kMaskBytes[neg], sizeof(std::uint64_t));
       word |= static_cast<std::uint64_t>(~neg & 0xFFU) << j;
     }
     bits[w] = word;
@@ -314,9 +294,7 @@ void avx512_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bi
   if (i < n) {
     std::uint64_t word = 0;
     for (std::size_t j = 0; i + j < n; ++j) {
-      const bool negative = v[i + j] < 0.0;
-      bipolar[i + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(negative));
-      word |= static_cast<std::uint64_t>(!negative) << j;
+      word |= static_cast<std::uint64_t>(!(v[i + j] < 0.0)) << j;
     }
     bits[i >> 6] = word;
   }

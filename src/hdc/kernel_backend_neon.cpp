@@ -67,16 +67,6 @@ double neon_dot_real_real(const double* a, const double* b, std::size_t n) {
   return acc;
 }
 
-double neon_dot_real_bipolar(const double* a, const std::int8_t* b, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    acc += std::bit_cast<double>(std::bit_cast<std::uint64_t>(a[i]) ^ flip);
-  }
-  return acc;
-}
-
 double neon_dot_real_binary(const double* a, const std::uint64_t* bits, std::size_t n) {
   double acc = 0.0;
   std::size_t i = 0;
@@ -142,31 +132,6 @@ std::int64_t neon_masked_bipolar_dot(const std::uint64_t* a, const std::uint64_t
   return 2 * agree - active;
 }
 
-std::int64_t neon_bipolar_dot_dense(const std::int8_t* a, const std::int8_t* b,
-                                    std::size_t n) {
-  // 16 ±1 bytes per step: widening multiply-accumulate into 16-bit lanes is
-  // safe (|Σ| ≤ 16 per lane per step ≪ 2¹⁵ would overflow after 2048 steps,
-  // so drain into 64-bit every 1024 steps).
-  std::int64_t total = 0;
-  std::size_t i = 0;
-  while (i + 16 <= n) {
-    const std::size_t chunk_end = std::min(n - (n - i) % 16, i + 16 * 1024);
-    int16x8_t acc_lo = vdupq_n_s16(0);
-    int16x8_t acc_hi = vdupq_n_s16(0);
-    for (; i + 16 <= chunk_end; i += 16) {
-      const int8x16_t pa = vld1q_s8(a + i);
-      const int8x16_t pb = vld1q_s8(b + i);
-      acc_lo = vmlal_s8(acc_lo, vget_low_s8(pa), vget_low_s8(pb));
-      acc_hi = vmlal_s8(acc_hi, vget_high_s8(pa), vget_high_s8(pb));
-    }
-    total += vaddlvq_s16(acc_lo) + vaddlvq_s16(acc_hi);
-  }
-  for (; i < n; ++i) {
-    total += static_cast<std::int64_t>(a[i]) * static_cast<std::int64_t>(b[i]);
-  }
-  return total;
-}
-
 void neon_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   // mul + add (no vfmaq): each slot must round exactly like the scalar
   // backend's `a[i] += c * b[i]`.
@@ -183,15 +148,6 @@ void neon_add_scaled_real(double* a, const double* b, double c, std::size_t n) {
   }
   for (; i < n; ++i) {
     a[i] += c * b[i];
-  }
-}
-
-void neon_add_scaled_bipolar(double* a, const std::int8_t* b, double c, std::size_t n) {
-  const std::uint64_t c_bits = std::bit_cast<std::uint64_t>(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t flip =
-        static_cast<std::uint64_t>(static_cast<std::uint8_t>(b[i]) >> 7) << 63;
-    a[i] += std::bit_cast<double>(c_bits ^ flip);
   }
 }
 
@@ -376,19 +332,16 @@ void neon_dot_rows_ternary(const std::uint64_t* q, const std::uint64_t* signs,
   }
 }
 
-void neon_sign_encode(const double* v, std::int8_t* bipolar, std::uint64_t* bits,
-                      std::size_t n) {
+void neon_sign_encode(const double* v, std::uint64_t* bits, std::size_t n) {
   // Scalar operation sequence (`v < 0.0` is false for NaN, so NaN maps to
-  // +1 / bit set; padding bits of the final word are written zero).
+  // bit set; padding bits of the final word are written zero).
   const std::size_t words = (n + 63) / 64;
   for (std::size_t w = 0; w < words; ++w) {
     const std::size_t base = w << 6;
     const std::size_t limit = std::min<std::size_t>(64, n - base);
     std::uint64_t word = 0;
     for (std::size_t j = 0; j < limit; ++j) {
-      const bool neg = v[base + j] < 0.0;
-      bipolar[base + j] = static_cast<std::int8_t>(1 - 2 * static_cast<int>(neg));
-      word |= static_cast<std::uint64_t>(!neg) << j;
+      word |= static_cast<std::uint64_t>(!(v[base + j] < 0.0)) << j;
     }
     bits[w] = word;
   }
@@ -398,14 +351,11 @@ constexpr KernelBackend kNeonBackend{
     "neon",
     kNeonF64Lanes,
     neon_dot_real_real,
-    neon_dot_real_bipolar,
     neon_dot_real_binary,
     neon_masked_dot,
     neon_hamming,
     neon_masked_bipolar_dot,
-    neon_bipolar_dot_dense,
     neon_add_scaled_real,
-    neon_add_scaled_bipolar,
     neon_add_scaled_binary,
     neon_merge_accumulate,
     neon_scale_real,

@@ -45,11 +45,6 @@ double dot(RealHVView a, RealHVView b) {
   return active_backend().dot_real_real(a.values().data(), b.values().data(), a.dim());
 }
 
-double dot(RealHVView a, BipolarHVView b) {
-  check_dims(a.dim(), b.dim(), "dot(real,bipolar)");
-  return active_backend().dot_real_bipolar(a.values().data(), b.values().data(), a.dim());
-}
-
 double dot(RealHVView a, BinaryHVView b) {
   check_dims(a.dim(), b.dim(), "dot(real,binary)");
   return active_backend().dot_real_binary(a.values().data(), b.words().data(), a.dim());
@@ -59,11 +54,6 @@ std::int64_t bipolar_dot(BinaryHVView a, BinaryHVView b) {
   check_dims(a.dim(), b.dim(), "bipolar_dot(binary,binary)");
   const std::int64_t h = static_cast<std::int64_t>(hamming_distance(a, b));
   return static_cast<std::int64_t>(a.dim()) - 2 * h;
-}
-
-std::int64_t bipolar_dot(BipolarHVView a, BipolarHVView b) {
-  check_dims(a.dim(), b.dim(), "bipolar_dot(bipolar,bipolar)");
-  return active_backend().bipolar_dot_dense(a.values().data(), b.values().data(), a.dim());
 }
 
 std::int64_t masked_bipolar_dot(BinaryHVView a, BinaryHVView b, BinaryHVView mask) {
@@ -104,15 +94,6 @@ double cosine(RealHVView a, RealHVView b) {
   return dot(a, b) / (na * nb);
 }
 
-double cosine(RealHVView a, BipolarHVView b) {
-  check_dims(a.dim(), b.dim(), "cosine(real,bipolar)");
-  const double na = norm(a);
-  if (na == 0.0 || a.dim() == 0) {
-    return 0.0;
-  }
-  return dot(a, b) / (na * std::sqrt(static_cast<double>(a.dim())));
-}
-
 double cosine(RealHVView a, BinaryHVView b) {
   check_dims(a.dim(), b.dim(), "cosine(real,binary)");
   const double na = norm(a);
@@ -125,11 +106,6 @@ double cosine(RealHVView a, BinaryHVView b) {
 void add_scaled(RealHV& a, RealHVView b, double c) {
   check_dims(a.dim(), b.dim(), "add_scaled(real,real)");
   active_backend().add_scaled_real(a.values().data(), b.values().data(), c, a.dim());
-}
-
-void add_scaled(RealHV& a, BipolarHVView b, double c) {
-  check_dims(a.dim(), b.dim(), "add_scaled(real,bipolar)");
-  active_backend().add_scaled_bipolar(a.values().data(), b.values().data(), c, a.dim());
 }
 
 void add_scaled(RealHV& a, BinaryHVView b, double c) {

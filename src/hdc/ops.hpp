@@ -30,9 +30,6 @@ namespace reghd::hdc {
 /// Full-precision dot product.
 [[nodiscard]] double dot(RealHVView a, RealHVView b);
 
-/// Dot of a real vector with a dense ±1 vector (model · encoded sample).
-[[nodiscard]] double dot(RealHVView a, BipolarHVView b);
-
 /// Multiply-free dot of a real vector with a packed binary vector under the
 /// bipolar interpretation: Σ_j (bit_j ? +a_j : −a_j). This is the paper's
 /// "binary query – integer model" / "integer query – binary model" kernel.
@@ -40,9 +37,6 @@ namespace reghd::hdc {
 
 /// Bipolar dot of two packed vectors: D − 2·hamming. Integer-exact.
 [[nodiscard]] std::int64_t bipolar_dot(BinaryHVView a, BinaryHVView b);
-
-/// Bipolar dot of two dense ±1 vectors.
-[[nodiscard]] std::int64_t bipolar_dot(BipolarHVView a, BipolarHVView b);
 
 /// Masked bipolar dot: Σ over dims where mask is set of a_j·b_j (bipolar
 /// interpretation). The ternary-model kernel: dead-zone components carry a
@@ -72,9 +66,6 @@ namespace reghd::hdc {
 /// Cosine similarity (Eq. 5). Returns 0 if either vector is all-zero.
 [[nodiscard]] double cosine(RealHVView a, RealHVView b);
 
-/// Cosine of a real vector against a dense ±1 vector (‖b‖ = √D).
-[[nodiscard]] double cosine(RealHVView a, BipolarHVView b);
-
 /// Cosine of a real vector against a packed ±1 vector (‖b‖ = √D).
 [[nodiscard]] double cosine(RealHVView a, BinaryHVView b);
 
@@ -82,10 +73,10 @@ namespace reghd::hdc {
 // Accumulation (model updates)
 // ---------------------------------------------------------------------------
 
-/// a += c · b for each of the sample representations. These implement the
-/// paper's update rules (Eqs. 2, 7, 8, 9).
+/// a += c · b for a real or a packed ±1 sample. These implement the paper's
+/// update rules (Eqs. 2, 7, 8, 9); the packed form adds an exact ±c per
+/// component.
 void add_scaled(RealHV& a, RealHVView b, double c);
-void add_scaled(RealHV& a, BipolarHVView b, double c);
 void add_scaled(RealHV& a, BinaryHVView b, double c);
 
 /// a *= c.

@@ -15,8 +15,10 @@
 
 namespace reghd::hdc {
 
-/// Random dense ±1 hypervector (Rademacher components).
-[[nodiscard]] BipolarHV random_bipolar(std::size_t dim, util::Rng& rng);
+/// Random ±1 hypervector, packed (bit 1 ⇔ +1). Draws one Rademacher
+/// component per dimension, in order — a different stream from
+/// random_binary(), which takes 64 bits per engine word.
+[[nodiscard]] BinaryHV random_bipolar(std::size_t dim, util::Rng& rng);
 
 /// Random packed binary hypervector (i.i.d. fair bits).
 [[nodiscard]] BinaryHV random_binary(std::size_t dim, util::Rng& rng);
@@ -27,8 +29,8 @@ namespace reghd::hdc {
 
 /// A set of mutually independent random bipolar base hypervectors, one per
 /// input feature (the B_k of Eq. 1).
-[[nodiscard]] std::vector<BipolarHV> random_bipolar_set(std::size_t count, std::size_t dim,
-                                                        util::Rng& rng);
+[[nodiscard]] std::vector<BinaryHV> random_bipolar_set(std::size_t count, std::size_t dim,
+                                                       util::Rng& rng);
 
 /// Flips each component of a packed vector independently with probability p.
 /// Used by the robustness tests and the noise-injection experiments.

@@ -14,8 +14,7 @@ namespace {
 hdc::EncodedSample sample_from_real(hdc::RealHV real) {
   hdc::EncodedSample s;
   s.real = std::move(real);
-  s.bipolar = s.real.sign();
-  s.binary = s.bipolar.pack();
+  s.binary = s.real.sign_packed();
   double n2 = 0.0;
   for (const double v : s.real.values()) {
     n2 += v * v;
@@ -64,7 +63,11 @@ TEST(PredictDotTest, BinaryQueryMatchesBipolarDot) {
     m.accumulator[j] = rng.normal();
   }
   m.requantize();
-  const double expected = hdc::dot(m.accumulator, s.bipolar) / static_cast<double>(dim);
+  double expected = 0.0;
+  for (std::size_t j = 0; j < dim; ++j) {
+    expected += m.accumulator[j] * static_cast<double>(s.binary.bipolar(j));
+  }
+  expected /= static_cast<double>(dim);
   EXPECT_NEAR(predict_dot(m, s, PredictionMode::binary_query_integer_model()), expected,
               1e-12);
 }
@@ -112,7 +115,7 @@ TEST(PredictDotTest, AllModesAgreeWhenQueryIsBipolarAndModelUniform) {
   // components ±c. Then every §3.2 kernel computes the same value.
   const std::size_t dim = 192;
   util::Rng rng(9);
-  const hdc::BipolarHV q = hdc::random_bipolar(dim, rng);
+  const hdc::BinaryHV q = hdc::random_bipolar(dim, rng);
   hdc::EncodedSample s = sample_from_real(q.to_real());
   RegressionModel m(dim);
   const double c = 1.5;
@@ -212,7 +215,7 @@ TEST(UpdateAccumulatorTest, RealAndBinaryPrecisions) {
   update_accumulator(acc_bin, s, 0.5, QueryPrecision::kBinary);
   for (std::size_t j = 0; j < dim; ++j) {
     EXPECT_DOUBLE_EQ(acc_real[j], 0.5 * s.real[j]);
-    EXPECT_DOUBLE_EQ(acc_bin[j], s.bipolar[j] > 0 ? 0.5 : -0.5);
+    EXPECT_DOUBLE_EQ(acc_bin[j], 0.5 * static_cast<double>(s.binary.bipolar(j)));
   }
 }
 

@@ -81,8 +81,6 @@ TEST_P(ArenaEncodeTest, ArenaRowsBitIdenticalToPerRowEncode) {
         const hdc::EncodedSampleView got = enc.sample(i);
         EXPECT_TRUE(got.real == hdc::RealHVView(expected.real))
             << "real row " << i << " threads " << threads << " dim " << dim;
-        EXPECT_TRUE(got.bipolar == hdc::BipolarHVView(expected.bipolar))
-            << "bipolar row " << i;
         EXPECT_TRUE(got.binary == hdc::BinaryHVView(expected.binary))
             << "binary row " << i;
         // Norms come from the same dot_real_real on identical data: exact.

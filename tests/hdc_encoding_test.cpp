@@ -102,8 +102,11 @@ TEST_P(EncoderSuite, EncodedSampleRepresentationsAreCoupled) {
   const auto enc = make();
   util::Rng rng(7);
   const EncodedSample s = enc->encode(random_features(6, rng));
-  EXPECT_EQ(s.bipolar, s.real.sign());
-  EXPECT_EQ(s.binary, s.bipolar.pack());
+  BinaryHV signs(s.real.dim());
+  for (std::size_t j = 0; j < s.real.dim(); ++j) {
+    signs.set_bit(j, !(s.real[j] < 0.0));
+  }
+  EXPECT_EQ(s.binary, signs);
   double norm2 = 0.0;
   for (const double v : s.real.values()) {
     norm2 += v * v;
@@ -280,30 +283,27 @@ TEST(RffEncoderTest, RematerializedBatchEncodeIsBitIdenticalAcrossThreads) {
 
   constexpr std::size_t kWords = (kDim + 63) / 64;
   std::vector<double> want_real(kRows * kDim);
-  std::vector<std::int8_t> want_bipolar(kRows * kDim);
   std::vector<std::uint64_t> want_bits(kRows * kWords);
   std::vector<double> want_norm(kRows);
   std::vector<double> want_norm2(kRows);
   resident->encode_batch_into(
       rows, kRows,
-      {want_real.data(), want_bipolar.data(), want_bits.data(), want_norm.data(),
-       want_norm2.data(), kDim, kWords},
+      {want_real.data(), want_bits.data(), want_norm.data(), want_norm2.data(), kDim,
+       kWords},
       1);
   for (const std::size_t threads : {1u, 2u, 4u}) {
     // The arena contract: the real plane is zero-initialized (encoders
     // accumulate into it); the bit plane may hold garbage (fully overwritten).
     std::vector<double> got_real(kRows * kDim, 0.0);
-    std::vector<std::int8_t> got_bipolar(kRows * kDim, 0);
     std::vector<std::uint64_t> got_bits(kRows * kWords, ~0ULL);
     std::vector<double> got_norm(kRows);
     std::vector<double> got_norm2(kRows);
     remat->encode_batch_into(
         rows, kRows,
-        {got_real.data(), got_bipolar.data(), got_bits.data(), got_norm.data(),
-         got_norm2.data(), kDim, kWords},
+        {got_real.data(), got_bits.data(), got_norm.data(), got_norm2.data(), kDim,
+         kWords},
         threads);
     EXPECT_EQ(got_real, want_real) << "threads " << threads;
-    EXPECT_EQ(got_bipolar, want_bipolar) << "threads " << threads;
     EXPECT_EQ(got_bits, want_bits) << "threads " << threads;
     EXPECT_EQ(got_norm, want_norm) << "threads " << threads;
     EXPECT_EQ(got_norm2, want_norm2) << "threads " << threads;

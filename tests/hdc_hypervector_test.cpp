@@ -1,7 +1,13 @@
 // Tests for the hypervector value types and representation conversions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "hdc/hypervector.hpp"
+#include "hdc/kernel_backend.hpp"
 #include "hdc/random_hv.hpp"
 #include "util/random.hpp"
 
@@ -27,45 +33,50 @@ TEST(RealHVTest, AdoptsValuesAndClears) {
 
 TEST(RealHVTest, SignMapsZeroToPlusOne) {
   const RealHV v(std::vector<double>{1.5, -0.5, 0.0});
-  const BipolarHV s = v.sign();
-  EXPECT_EQ(s[0], 1);
-  EXPECT_EQ(s[1], -1);
-  EXPECT_EQ(s[2], 1);  // the documented tie rule
+  const BinaryHV s = v.sign_packed();
+  EXPECT_EQ(s.bipolar(0), 1);
+  EXPECT_EQ(s.bipolar(1), -1);
+  EXPECT_EQ(s.bipolar(2), 1);  // the documented tie rule
 }
 
 TEST(RealHVTest, SignPackedAgreesWithSignThenPack) {
   util::Rng rng(3);
   const RealHV v = random_gaussian(130, rng);  // odd size exercises padding
-  EXPECT_EQ(v.sign_packed(), v.sign().pack());
-}
-
-TEST(BipolarHVTest, DefaultsToAllPlusOne) {
-  const BipolarHV v(8);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(v[i], 1);
+  BinaryHV expected(v.dim());
+  for (std::size_t i = 0; i < v.dim(); ++i) {
+    expected.set_bit(i, !(v[i] < 0.0));  // the sign rule, one component at a time
   }
+  EXPECT_EQ(v.sign_packed(), expected);
 }
 
-TEST(BipolarHVTest, RejectsNonBipolarValues) {
-  EXPECT_THROW(BipolarHV(std::vector<std::int8_t>{1, 0, -1}), std::invalid_argument);
-  BipolarHV v(4);
-  EXPECT_THROW(v.set(0, 2), std::invalid_argument);
-  v.set(0, -1);
-  EXPECT_EQ(v[0], -1);
-}
+TEST(RealHVTest, SignPackedMatchesSignEncodeOnEveryBackend) {
+  // One sign rule for snapshots (requantize → sign_packed) and encoded
+  // queries (sign_encode): the edge values must land on the same bits on
+  // every kernel table, at a length with a partial final word.
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {std::nan(""), -0.0, 0.0, denorm, -denorm, 1.0, -1.0};
+  util::Rng rng(29);
+  while (values.size() < 100) {
+    values.push_back(rng.normal());
+  }
+  values.push_back(std::nan(""));  // also in the partial word
+  const RealHV v(values);
+  const BinaryHV packed = v.sign_packed();
+  EXPECT_TRUE(packed.bit(0));   // NaN → +1
+  EXPECT_TRUE(packed.bit(1));   // −0 → +1
+  EXPECT_TRUE(packed.bit(2));   // +0 → +1
+  EXPECT_TRUE(packed.bit(3));   // +denormal → +1
+  EXPECT_FALSE(packed.bit(4));  // −denormal → −1
+  EXPECT_TRUE(packed.bit(5));
+  EXPECT_FALSE(packed.bit(6));
+  EXPECT_TRUE(packed.bit(100));
 
-TEST(BipolarHVTest, PackUnpackRoundTrip) {
-  util::Rng rng(7);
-  const BipolarHV original = random_bipolar(200, rng);
-  EXPECT_EQ(original.pack().unpack(), original);
-}
-
-TEST(BipolarHVTest, ToRealWidensExactly) {
-  util::Rng rng(11);
-  const BipolarHV v = random_bipolar(64, rng);
-  const RealHV r = v.to_real();
-  for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_DOUBLE_EQ(r[i], static_cast<double>(v[i]));
+  const BackendList tables = available_backends();
+  for (std::size_t t = 0; t < tables.count; ++t) {
+    const KernelBackend& kb = *tables.tables[t];
+    std::vector<std::uint64_t> bits(packed.word_count(), ~0ULL);
+    kb.sign_encode(v.values().data(), bits.data(), v.dim());
+    EXPECT_TRUE(std::equal(bits.begin(), bits.end(), packed.words().begin())) << kb.name;
   }
 }
 
@@ -96,8 +107,8 @@ TEST(BinaryHVTest, PaddingBitsStayZeroThroughConversions) {
   const BinaryHV v = random_binary(70, rng);
   const auto words = v.words();
   EXPECT_EQ(words[1] >> 6, 0ULL);  // bits 70.. of word 1 are zero
-  const BinaryHV via_bipolar = v.unpack().pack();
-  EXPECT_EQ(via_bipolar, v);
+  const BinaryHV via_real = v.to_real().sign_packed();
+  EXPECT_EQ(via_real, v);
 }
 
 TEST(BinaryHVTest, ToRealIsPlusMinusOne) {
@@ -110,14 +121,16 @@ TEST(BinaryHVTest, ToRealIsPlusMinusOne) {
 }
 
 TEST(ConversionTest, AllThreeRepresentationsAgreeOnSigns) {
+  // Real components, their packed signs, and the packed signs widened back
+  // to ±1 reals.
   util::Rng rng(19);
   const RealHV real = random_gaussian(257, rng);
-  const BipolarHV bipolar = real.sign();
   const BinaryHV binary = real.sign_packed();
+  const RealHV widened = binary.to_real();
   for (std::size_t i = 0; i < real.dim(); ++i) {
     const int expected = real[i] >= 0.0 ? 1 : -1;
-    EXPECT_EQ(bipolar[i], expected);
     EXPECT_EQ(binary.bipolar(i), expected);
+    EXPECT_EQ(widened[i], static_cast<double>(expected));
   }
 }
 

@@ -13,8 +13,10 @@
 #include "hdc/kernel_backend.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -39,7 +41,6 @@ void expect_close(double x, double y, double tol = 1e-9) {
 
 struct TestVectors {
   RealHV ra, rb;
-  BipolarHV pa, pb;
   BinaryHV ba, bb, mask;
 };
 
@@ -48,8 +49,6 @@ TestVectors make_vectors(std::size_t dim, std::uint64_t seed) {
   TestVectors v;
   v.ra = random_gaussian(dim, rng);
   v.rb = random_gaussian(dim, rng);
-  v.pa = random_bipolar(dim, rng);
-  v.pb = random_bipolar(dim, rng);
   v.ba = random_binary(dim, rng);
   v.bb = random_binary(dim, rng);
   v.mask = random_binary(dim, rng);
@@ -131,18 +130,11 @@ TEST_P(KernelBackendTest, ScalarMatchesNaiveReference) {
             ref_masked_bipolar_dot(v.ba, v.bb, v.mask));
 
   double ref_rr = 0.0;
-  double ref_rp = 0.0;
-  std::int64_t ref_pp = 0;
   for (std::size_t i = 0; i < dim; ++i) {
     ref_rr += v.ra[i] * v.rb[i];
-    ref_rp += v.ra[i] * static_cast<double>(v.pa[i]);
-    ref_pp += static_cast<std::int64_t>(v.pa[i]) * static_cast<std::int64_t>(v.pb[i]);
   }
   EXPECT_DOUBLE_EQ(kb.dot_real_real(v.ra.values().data(), v.rb.values().data(), dim),
                    ref_rr);
-  EXPECT_DOUBLE_EQ(kb.dot_real_bipolar(v.ra.values().data(), v.pa.values().data(), dim),
-                   ref_rp);
-  EXPECT_EQ(kb.bipolar_dot_dense(v.pa.values().data(), v.pb.values().data(), dim), ref_pp);
 }
 
 TEST_P(KernelBackendTest, SimdBackendsMatchScalar) {
@@ -163,16 +155,11 @@ TEST_P(KernelBackendTest, SimdBackendsMatchScalar) {
               sc.masked_bipolar_dot(v.ba.words().data(), v.bb.words().data(),
                                     v.mask.words().data(), v.ba.word_count()))
         << kb->name;
-    EXPECT_EQ(kb->bipolar_dot_dense(v.pa.values().data(), v.pb.values().data(), dim),
-              sc.bipolar_dot_dense(v.pa.values().data(), v.pb.values().data(), dim))
-        << kb->name;
 
     // Real kernels: summation order may differ; values must agree to 1e-9
     // relative.
     expect_close(kb->dot_real_real(v.ra.values().data(), v.rb.values().data(), dim),
                  sc.dot_real_real(v.ra.values().data(), v.rb.values().data(), dim));
-    expect_close(kb->dot_real_bipolar(v.ra.values().data(), v.pa.values().data(), dim),
-                 sc.dot_real_bipolar(v.ra.values().data(), v.pa.values().data(), dim));
     expect_close(kb->dot_real_binary(v.ra.values().data(), v.ba.words().data(), dim),
                  sc.dot_real_binary(v.ra.values().data(), v.ba.words().data(), dim));
     expect_close(kb->masked_dot(v.ra.values().data(), v.ba.words().data(),
@@ -202,10 +189,6 @@ TEST_P(KernelBackendTest, AccumulationMatchesScalarBitExact) {
     kb->add_scaled_real(vx_buf.data(), v.rb.values().data(), c, dim);
     EXPECT_EQ(sc_buf, vx_buf) << kb->name;
 
-    sc.add_scaled_bipolar(sc_buf.data(), v.pa.values().data(), c, dim);
-    kb->add_scaled_bipolar(vx_buf.data(), v.pa.values().data(), c, dim);
-    EXPECT_EQ(sc_buf, vx_buf) << kb->name;
-
     sc.add_scaled_binary(sc_buf.data(), v.ba.words().data(), c, dim);
     kb->add_scaled_binary(vx_buf.data(), v.ba.words().data(), c, dim);
     EXPECT_EQ(sc_buf, vx_buf) << kb->name;
@@ -219,6 +202,38 @@ TEST_P(KernelBackendTest, AccumulationMatchesScalarBitExact) {
     sc.scale_real(sc_buf.data(), 0.91, dim);
     kb->scale_real(vx_buf.data(), 0.91, dim);
     EXPECT_EQ(sc_buf, vx_buf) << kb->name;
+  }
+}
+
+TEST_P(KernelBackendTest, AddScaledBinaryMatchesSignedAddReference) {
+  // add_scaled_binary applies the packed sign by an IEEE sign-bit XOR on c.
+  // That is exactly `a[i] += bit ? c : −c` for every c — NaN, signed zeros,
+  // denormals and infinities included — so a ±c update gives the same bits
+  // whether the ±1 operand is packed or dense. Compared bitwise (NaN
+  // payloads and zero signs included) on every backend.
+  const std::size_t dim = GetParam();
+  const TestVectors v = make_vectors(dim, 0xADD5 + dim);
+  const double cs[] = {std::nan(""),
+                       0.0,
+                       -0.0,
+                       std::numeric_limits<double>::denorm_min(),
+                       std::numeric_limits<double>::infinity(),
+                       -std::numeric_limits<double>::infinity(),
+                       0.15};
+  for (const double c : cs) {
+    std::vector<double> expected(v.ra.values().begin(), v.ra.values().end());
+    for (std::size_t i = 0; i < dim; ++i) {
+      expected[i] += v.ba.bit(i) ? c : -c;
+    }
+    for (const KernelBackend* kb : all_available()) {
+      std::vector<double> got(v.ra.values().begin(), v.ra.values().end());
+      kb->add_scaled_binary(got.data(), v.ba.words().data(), c, dim);
+      for (std::size_t i = 0; i < dim; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << kb->name << " c=" << c << " component " << i;
+      }
+    }
   }
 }
 
@@ -446,9 +461,9 @@ TEST_P(KernelBackendTest, DotRowsBinaryMatchesPerRowHammingChainExactly) {
 }
 
 TEST_P(KernelBackendTest, SignEncodeMatchesSignThenPackBitExact) {
-  // sign_encode fuses RealHV::sign() + BipolarHV::pack(): bipolar −1 iff
-  // v < 0 (so ±0 and NaN map to +1 / set bit) and zero padding bits. Must be
-  // bit-exact on every backend.
+  // sign_encode packs the sign rule bit i = !(v[i] < 0) — ±0 and NaN map to
+  // a set bit (+1) — with zero padding bits. Must be bit-exact on every
+  // backend against the component-at-a-time sign-then-pack loop below.
   const std::size_t dim = GetParam();
   util::Rng rng(0x5167 + dim);
   RealHV v = random_gaussian(dim, rng);
@@ -457,20 +472,17 @@ TEST_P(KernelBackendTest, SignEncodeMatchesSignThenPackBitExact) {
     v[1] = -0.0;
     v[2] = std::nan("");
   }
-  const BipolarHV expected_bipolar = v.sign();
-  const BinaryHV expected_binary = expected_bipolar.pack();
+  BinaryHV expected(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    expected.set_bit(i, !(v[i] < 0.0));
+  }
 
   for (const KernelBackend* kb : all_available()) {
-    std::vector<std::int8_t> bipolar(dim, 0);
     // Poison the word buffer: sign_encode must fully overwrite every word,
     // including zeroing the padding bits of the final one.
     std::vector<std::uint64_t> bits((dim + 63) / 64, ~0ULL);
-    kb->sign_encode(v.values().data(), bipolar.data(), bits.data(), dim);
-    EXPECT_TRUE(std::equal(bipolar.begin(), bipolar.end(),
-                           expected_bipolar.values().begin()))
-        << kb->name;
-    EXPECT_TRUE(
-        std::equal(bits.begin(), bits.end(), expected_binary.words().begin()))
+    kb->sign_encode(v.values().data(), bits.data(), dim);
+    EXPECT_TRUE(std::equal(bits.begin(), bits.end(), expected.words().begin()))
         << kb->name;
   }
 }

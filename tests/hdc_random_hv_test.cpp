@@ -17,12 +17,24 @@ TEST(RandomBipolarTest, DeterministicForFixedSeed) {
   EXPECT_EQ(random_bipolar(256, a), random_bipolar(256, b));
 }
 
+TEST(RandomBipolarTest, OneRademacherDrawPerComponent) {
+  // Seeded cluster centres and Eq. 1 bases depend on this exact stream:
+  // component i is the i-th Rademacher draw, packed as bit 1 ⇔ +1.
+  util::Rng a(9);
+  util::Rng b(9);
+  const BinaryHV v = random_bipolar(130, a);
+  for (std::size_t i = 0; i < v.dim(); ++i) {
+    EXPECT_EQ(v.bipolar(i), b.rademacher()) << i;
+  }
+  EXPECT_EQ(v.words()[2] >> 2, 0ULL);  // padding past 130 stays zero
+}
+
 TEST(RandomBipolarTest, RoughlyBalanced) {
   util::Rng rng(7);
-  const BipolarHV v = random_bipolar(10000, rng);
+  const BinaryHV v = random_bipolar(10000, rng);
   std::int64_t sum = 0;
   for (std::size_t i = 0; i < v.dim(); ++i) {
-    sum += v[i];
+    sum += v.bipolar(i);
   }
   // Sum of 10k ±1 has stddev 100; 5σ bound.
   EXPECT_LT(std::abs(sum), 500);
@@ -65,10 +77,14 @@ TEST_P(OrthogonalityTest, RandomBipolarPairsAreNearOrthogonal) {
   util::Rng rng(dim * 31 + 1);
   const double bound = 6.0 / std::sqrt(static_cast<double>(dim));  // 6σ
   for (int trial = 0; trial < 20; ++trial) {
-    const BipolarHV a = random_bipolar(dim, rng);
-    const BipolarHV b = random_bipolar(dim, rng);
-    const double cos_sim =
-        static_cast<double>(bipolar_dot(a, b)) / static_cast<double>(dim);
+    const BinaryHV a = random_bipolar(dim, rng);
+    const BinaryHV b = random_bipolar(dim, rng);
+    std::int64_t dense = 0;
+    for (std::size_t j = 0; j < dim; ++j) {
+      dense += a.bipolar(j) * b.bipolar(j);
+    }
+    EXPECT_EQ(bipolar_dot(a, b), dense) << "dim=" << dim;
+    const double cos_sim = static_cast<double>(dense) / static_cast<double>(dim);
     EXPECT_LT(std::abs(cos_sim), bound) << "dim=" << dim;
   }
 }
