@@ -162,15 +162,6 @@ struct RegHDConfig {
   /// is deliberately not serialized with trained models.
   std::size_t threads = 0;
 
-  /// Route single-sample predict() through the fused encode→search→predict
-  /// fast path (MultiModelRegressor::predict_one) when the encoder supports
-  /// block encoding and the mode combination has a fused implementation.
-  /// The fused path is bit-identical to the materializing path, so this is a
-  /// pure runtime knob like `threads` — not serialized with trained models —
-  /// and exists mainly so equivalence tests and benchmarks can pin either
-  /// path explicitly.
-  bool fused_predict = true;
-
   [[nodiscard]] PredictionMode prediction_mode() const noexcept {
     return {query_precision, model_precision};
   }

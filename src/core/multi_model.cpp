@@ -19,6 +19,32 @@
 
 namespace reghd::core {
 
+namespace {
+
+// Eq. 5 cosine from one real-bank sweep: scores[c] = C_c·S against the cached
+// cluster norms ‖C_c‖ and the query norm qn — similarities_into's
+// full-precision expression, operation for operation.
+void cosine_from_scores(const double* scores, const double* cluster_norm, double qn,
+                        std::span<double> sims) {
+  for (std::size_t c = 0; c < sims.size(); ++c) {
+    sims[c] = (cluster_norm[c] == 0.0 || qn == 0.0) ? 0.0
+                                                     : scores[c] / (cluster_norm[c] * qn);
+  }
+}
+
+// Eq. 6 over real-bank model scores, Σ_m conf[m]·(M_m·S / D) — predict_dot's
+// real/real expression per term (one model per cluster, so conf has k_m
+// entries).
+double real_blend(std::span<const double> conf, const double* model_scores, double dd) {
+  double y = 0.0;
+  for (std::size_t m = 0; m < conf.size(); ++m) {
+    y += conf[m] * (model_scores[m] / dd);
+  }
+  return y;
+}
+
+}  // namespace
+
 MultiModelRegressor::MultiModelRegressor(const RegHDConfig& config) : config_(config) {
   config_.validate();
   reset();
@@ -145,11 +171,6 @@ std::size_t MultiModelRegressor::assign_cluster(const hdc::EncodedSampleView& sa
       std::distance(sims.begin(), std::max_element(sims.begin(), sims.end())));
 }
 
-std::vector<double> MultiModelRegressor::confidences_from(std::vector<double> sims) const {
-  confidences_into(sims);
-  return sims;
-}
-
 void MultiModelRegressor::confidences_into(std::span<double> sims) const {
   if (config_.normalize_similarities && sims.size() > 1) {
     double mean = 0.0;
@@ -170,33 +191,116 @@ void MultiModelRegressor::confidences_into(std::span<double> sims) const {
   util::softmax_inplace(sims, config_.softmax_temperature);
 }
 
+double MultiModelRegressor::blend(std::span<const double> conf,
+                                  const hdc::EncodedSampleView& sample, PredictionMode mode,
+                                  std::span<double> outputs) const {
+  double y = 0.0;
+  for (std::size_t i = 0; i < models_.size(); ++i) {
+    const double out = predict_dot(models_[i], sample, mode);
+    if (!outputs.empty()) {
+      outputs[i] = out;
+    }
+    y += conf[i] * out;
+  }
+  return y;
+}
+
+double MultiModelRegressor::reference_row(const hdc::EncodedSampleView& sample,
+                                          std::span<double> sims) const {
+  similarities_into(sample, sims);
+  confidences_into(sims);
+  return blend(sims, sample, config_.prediction_mode());
+}
+
 double MultiModelRegressor::predict(const hdc::EncodedSampleView& sample) const {
   const obs::StageTimer timer(obs::Histo::kPredictNs);
   obs::count(obs::Counter::kPredicts);
-  const auto conf = confidences_from(similarities(sample));
-  const PredictionMode mode = config_.prediction_mode();
-  double y = 0.0;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    y += conf[i] * predict_dot(models_[i], sample, mode);
-  }
-  return y;
+  std::vector<double> sims(clusters_.size());
+  return reference_row(sample, sims);
 }
 
 PredictionDetail MultiModelRegressor::predict_detail(const hdc::EncodedSampleView& sample) const {
   PredictionDetail detail;
   detail.similarities = similarities(sample);
-  detail.confidences = confidences_from(detail.similarities);
+  detail.confidences = detail.similarities;
+  confidences_into(detail.confidences);
   detail.best_cluster = static_cast<std::size_t>(std::distance(
       detail.similarities.begin(),
       std::max_element(detail.similarities.begin(), detail.similarities.end())));
-  const PredictionMode mode = config_.prediction_mode();
   detail.model_outputs.resize(models_.size());
-  detail.prediction = 0.0;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    detail.model_outputs[i] = predict_dot(models_[i], sample, mode);
-    detail.prediction += detail.confidences[i] * detail.model_outputs[i];
-  }
+  detail.prediction =
+      blend(detail.confidences, sample, config_.prediction_mode(), detail.model_outputs);
   return detail;
+}
+
+double MultiModelRegressor::real_tail(const double* scores, const double* cluster_norm,
+                                      double qn, std::span<double> sims) const {
+  cosine_from_scores(scores, cluster_norm, qn, sims);
+  confidences_into(sims);
+  return real_blend(sims, scores + sims.size(), static_cast<double>(config_.dim));
+}
+
+double MultiModelRegressor::popcount_tail(const std::int64_t* totals,
+                                          const PackedTernaryBank& bank,
+                                          std::span<double> sims,
+                                          const hdc::EncodedSampleView* sample) const {
+  const std::size_t d = config_.dim;
+  const double dd = static_cast<double>(d);
+  const std::size_t k_c = sims.size();
+  // hamming_similarity replayed from the exact integer distance: a full-mask
+  // row's bipolar dot is D − 2h, so h = (D − dot) / 2.
+  for (std::size_t c = 0; c < k_c; ++c) {
+    const auto h = static_cast<double>((static_cast<std::int64_t>(d) - totals[c]) / 2);
+    sims[c] = 1.0 - 2.0 * h / dd;
+  }
+  confidences_into(sims);
+  if (config_.model_precision == ModelPrecision::kReal) {
+    // Integer (real-precision) model term: not a popcount shape, so the
+    // per-sample kernel scores the materialized query.
+    return blend(sims, *sample, config_.prediction_mode());
+  }
+  // γ·score/D (binary) or γ_ternary·score/D (ternary): the bank's per-row
+  // scale is exactly that γ, so one expression replays both predict_dot forms.
+  double y = 0.0;
+  for (std::size_t m = 0; m < k_c; ++m) {
+    y += sims[m] * (bank.scale[k_c + m] * static_cast<double>(totals[k_c + m]) / dd);
+  }
+  return y;
+}
+
+MultiModelRegressor::ScoringBank MultiModelRegressor::scoring_bank() const noexcept {
+  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
+      config_.query_precision == QueryPrecision::kReal &&
+      config_.model_precision == ModelPrecision::kReal) {
+    return ScoringBank::kReal;
+  }
+  if (config_.cluster_mode != ClusterMode::kFullPrecision &&
+      config_.query_precision == QueryPrecision::kBinary) {
+    return ScoringBank::kPopcount;
+  }
+  return ScoringBank::kPerSample;
+}
+
+void MultiModelRegressor::build_real_bank(util::AlignedVector<double>& bank,
+                                          std::vector<double>& cluster_norm) const {
+  const std::size_t d = config_.dim;
+  const std::size_t k_c = clusters_.size();
+  bank.resize((k_c + models_.size()) * d);
+  cluster_norm.resize(k_c);
+  for (std::size_t c = 0; c < k_c; ++c) {
+    std::memcpy(bank.data() + c * d, clusters_[c].accumulator.values().data(),
+                d * sizeof(double));
+    cluster_norm[c] = std::sqrt(clusters_[c].norm2);
+  }
+  for (std::size_t m = 0; m < models_.size(); ++m) {
+    std::memcpy(bank.data() + (k_c + m) * d, models_[m].accumulator.values().data(),
+                d * sizeof(double));
+  }
+}
+
+const PackedTernaryBank& MultiModelRegressor::popcount_bank(
+    const PredictScratch& scratch) const noexcept {
+  return packed_bank_.valid ? packed_bank_ : scratch.packed;
 }
 
 double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
@@ -204,23 +308,15 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   const obs::StageTimer timer(obs::Histo::kPredictOneNs);
   REGHD_CHECK(encoder.dim() == config_.dim,
               "encoder dim " << encoder.dim() << " != configured dim " << config_.dim);
-  const PredictionMode mode = config_.prediction_mode();
-  const bool real_fusable = config_.cluster_mode == ClusterMode::kFullPrecision &&
-                            mode.query == QueryPrecision::kReal &&
-                            mode.model == ModelPrecision::kReal;
-  const bool quantized_fusable =
-      (config_.cluster_mode == ClusterMode::kQuantized ||
-       config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-      mode.query == QueryPrecision::kBinary &&
-      (mode.model == ModelPrecision::kBinary ||
-       mode.model == ModelPrecision::kTernary);
-  if (!config_.fused_predict || !encoder.supports_block_encode() ||
-      !(real_fusable || quantized_fusable)) {
+  const ScoringBank shape = scoring_bank();
+  if (!encoder.supports_block_encode() ||
+      !(shape == ScoringBank::kReal ||
+        (shape == ScoringBank::kPopcount &&
+         config_.model_precision != ModelPrecision::kReal))) {
     // Materializing path: full encode, then the ordinary Eq. 5/6 predict.
-    // Covers encoders without block support, fused_predict = false, and the
-    // mode combinations whose model term is not fusable (e.g. ternary model
-    // with a real query — a sparse masked float dot that wants the whole
-    // query anyway).
+    // Covers encoders without block support and the mode combinations whose
+    // model term is not fusable (e.g. ternary model with a real query — a
+    // sparse masked float dot that wants the whole query anyway).
     obs::count(obs::Counter::kPredictFusedFallbacks);
     return predict(encoder.encode(features));
   }
@@ -235,7 +331,6 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   constexpr std::size_t kFusedBlock = 1024;
   const hdc::KernelBackend& kb = hdc::active_backend();
   const std::size_t d = config_.dim;
-  const double dd = static_cast<double>(d);
   const std::size_t k_c = clusters_.size();
   const std::size_t k_m = models_.size();
   obs::count(obs::Counter::kPredicts);
@@ -248,17 +343,18 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
   block.resize(kFusedBlock);
   sims.resize(k_c);
 
-  if (real_fusable) {
-    // Replays predict_batch's full-precision bank scan, one block at a time:
-    // dot_rows_block carries each row's lane-accumulator state across blocks
-    // and finishes bit-identical to its backend's dot_real_real, so the
-    // scores equal raw_query_dot / predict_dot exactly. The query's own
-    // norm² rides as one extra bank row (q·q through the same kernel —
-    // exactly how encode() computes real_norm2).
+  if (shape == ScoringBank::kReal) {
+    // The real bank scan, one block at a time: dot_rows_block carries each
+    // row's lane-accumulator state across blocks and finishes bit-identical
+    // to its backend's dot_real_real, so the scores equal raw_query_dot /
+    // predict_dot exactly. The query's own norm² rides as one extra bank row
+    // (q·q through the same kernel — exactly how encode() computes
+    // real_norm2).
     const std::size_t rows = k_c + k_m + 1;
     thread_local std::vector<double> state;
     thread_local std::vector<const double*> row_ptrs;
     thread_local std::vector<double> scores;
+    thread_local std::vector<double> cluster_norm;
     state.assign(rows * hdc::kDotRowsBlockState, 0.0);
     row_ptrs.resize(rows);
     scores.resize(rows);
@@ -276,34 +372,25 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
       kb.dot_rows_block(block.data(), row_ptrs.data(), rows, len, last,
                         state.data(), scores.data());
     }
-    // Replay of similarities_into (full-precision branch) + confidences +
-    // Eq. 6, operation for operation.
-    const double qn = std::sqrt(scores[k_c + k_m]);
+    cluster_norm.resize(k_c);
     for (std::size_t c = 0; c < k_c; ++c) {
-      const double cn = std::sqrt(clusters_[c].norm2);
-      sims[c] = (cn == 0.0 || qn == 0.0) ? 0.0 : scores[c] / (cn * qn);
+      cluster_norm[c] = std::sqrt(clusters_[c].norm2);
     }
-    confidences_into(sims);
-    double y = 0.0;
-    for (std::size_t m = 0; m < k_m; ++m) {
-      y += sims[m] * (scores[k_c + m] / dd);
-    }
-    return y;
+    return real_tail(scores.data(), cluster_norm.data(), std::sqrt(scores[k_c + k_m]), sims);
   }
 
-  // Quantized bank scan (§3.1 + §3.2), blocked: each encoded block is
-  // sign-packed (bit-identical to the slice of encode()'s sign/pack — word
-  // boundaries align because non-final blocks are 64-multiples) and scored
-  // against the word-offset slice of the packed 2-bit-plane bank; the
-  // per-block masked popcount scores are integers, so summing them across
-  // blocks is exact and the totals equal the unblocked dot_rows_ternary.
-  const std::size_t words = (d + 63) / 64;
-  PackedTernaryBank local;
+  // The popcount bank scan, blocked: each encoded block is sign-packed
+  // (bit-identical to the slice of encode()'s sign/pack — word boundaries
+  // align because non-final blocks are 64-multiples) and scored against the
+  // word-offset slice of the packed 2-bit-plane bank; the per-block masked
+  // popcount scores are integers, so summing them across blocks is exact and
+  // the totals equal the unblocked dot_rows_ternary.
+  PredictScratch stale;  // the popcount fallback bank, built only when stale
   if (!packed_bank_.valid) {
-    build_packed_bank_into(local);
+    prepare_predict_scratch(stale);
   }
-  const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : local;
-  REGHD_INTERNAL_CHECK(bank.rows == k_c + k_m && bank.words == words,
+  const PackedTernaryBank& bank = popcount_bank(stale);
+  REGHD_INTERNAL_CHECK(bank.rows == k_c + k_m && bank.words == (d + 63) / 64,
                        "packed bank geometry " << bank.rows << "×" << bank.words
                                                << " does not match predict shape");
   thread_local std::vector<std::uint64_t> qwords;
@@ -324,21 +411,79 @@ double MultiModelRegressor::predict_one(const hdc::Encoder& encoder,
       totals[r] += block_scores[r];
     }
   }
-  // Replay of predict_batch's quantized replay of hamming_similarity /
-  // predict_dot / predict(): exact integer distance, then the same float
-  // expressions.
-  for (std::size_t c = 0; c < k_c; ++c) {
-    const auto h =
-        static_cast<double>((static_cast<std::int64_t>(d) - totals[c]) / 2);
-    sims[c] = 1.0 - 2.0 * h / dd;
+  return popcount_tail(totals.data(), bank, sims, nullptr);
+}
+
+void MultiModelRegressor::prepare_predict_scratch(PredictScratch& scratch) const {
+  const std::size_t k_c = clusters_.size();
+  const std::size_t k_m = models_.size();
+  scratch.shape = scoring_bank();
+  scratch.dim = config_.dim;
+  scratch.clusters = k_c;
+  scratch.models = k_m;
+  scratch.sims.assign(k_c, 0.0);
+  if (scratch.shape == ScoringBank::kReal) {
+    build_real_bank(scratch.bank, scratch.cluster_norm);
+    scratch.scores.assign(k_c + k_m, 0.0);
+  } else if (scratch.shape == ScoringBank::kPopcount) {
+    // The persistent bank tracks the snapshots (rebuilt on requantize); only
+    // when raw mutable-state access left it stale does the scratch carry a
+    // fallback built from the same snapshots — same bytes, same results.
+    if (!packed_bank_.valid) {
+      build_packed_bank_into(scratch.packed);
+    }
+    scratch.qscores.assign(popcount_bank(scratch).rows, 0);
   }
-  confidences_into(sims);
-  double y = 0.0;
-  for (std::size_t m = 0; m < k_m; ++m) {
-    y += sims[m] *
-         (bank.scale[k_c + m] * static_cast<double>(totals[k_c + m]) / dd);
+}
+
+void MultiModelRegressor::scan_rows(const EncodedDataset& dataset, std::size_t r0,
+                                    std::size_t rn, const PredictScratch& prepared,
+                                    std::span<double> scores,
+                                    std::span<std::int64_t> qscores,
+                                    std::span<double> sims, std::span<double> out) const {
+  REGHD_CHECK(dataset.dim() == config_.dim,
+              "dataset dim " << dataset.dim() << " != configured dim " << config_.dim);
+  const hdc::KernelBackend& kb = hdc::active_backend();
+  const std::size_t d = config_.dim;
+  switch (prepared.shape) {
+    case ScoringBank::kReal: {
+      // One dot_rows sweep of each query row against the whole (k_c + k_m)×D
+      // bank (the bank stays hot in cache across rows); dot_rows reduces each
+      // bank row exactly like the dot_real_real calls behind raw_query_dot /
+      // predict_dot.
+      const double* rows = dataset.real_plane().data();
+      for (std::size_t i = r0; i < rn; ++i) {
+        kb.dot_rows(rows + i * d, prepared.bank.data(), d, scores.size(), d, scores.data());
+        out[i] = real_tail(scores.data(), prepared.cluster_norm.data(),
+                           std::sqrt(dataset.norms2()[i]), sims);
+      }
+      return;
+    }
+    case ScoringBank::kPopcount: {
+      // §3.1 + §3.2: one dot_rows_ternary popcount sweep of each binary query
+      // against the packed cluster snapshot rows — plus, with a binary or
+      // ternary model, the k model snapshot rows (full mask + γ, or dead-zone
+      // mask + γ_ternary), making the whole Eq. 5/6 pipeline XNOR+popcount.
+      const PackedTernaryBank& bank = popcount_bank(prepared);
+      const std::size_t words = dataset.words_per_row();
+      REGHD_INTERNAL_CHECK(bank.rows == qscores.size() && bank.words == words,
+                           "packed bank geometry " << bank.rows << "×" << bank.words
+                                                   << " does not match predict shape");
+      const std::uint64_t* bits = dataset.binary_plane().data();
+      for (std::size_t i = r0; i < rn; ++i) {
+        kb.dot_rows_ternary(bits + i * words, bank.signs.data(), bank.masks.data(), words,
+                            bank.rows, d, qscores.data());
+        const hdc::EncodedSampleView s = dataset.sample(i);
+        out[i] = popcount_tail(qscores.data(), bank, sims, &s);
+      }
+      return;
+    }
+    default:  // ScoringBank::kPerSample
+      for (std::size_t i = r0; i < rn; ++i) {
+        out[i] = reference_row(dataset.sample(i), sims);
+      }
+      return;
   }
-  return y;
 }
 
 std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dataset,
@@ -346,183 +491,27 @@ std::vector<double> MultiModelRegressor::predict_batch(const EncodedDataset& dat
   const obs::StageTimer timer(obs::Histo::kPredictBatchNs);
   obs::count(obs::Counter::kPredictBatchRows, dataset.size());
   std::vector<double> out(dataset.size());
-  const std::size_t use_threads = threads != 0 ? threads : config_.threads;
-  const PredictionMode mode = config_.prediction_mode();
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal &&
-      !dataset.empty() && dataset.dim() == config_.dim) {
-    // Full-precision fast path: pack all cluster and model accumulators into
-    // one contiguous (k_c + k_m)×D bank so every query row is scored against
-    // the whole bank with a single dot_rows sweep (the bank stays hot in
-    // cache across rows). dot_rows reduces each bank row exactly like the
-    // dot_real_real calls behind raw_query_dot / predict_dot, and the
-    // sims → confidences → Eq. 6 arithmetic below replays predict()'s
-    // operation sequence, so out[i] is bit-identical to predict(sample(i)).
-    const hdc::KernelBackend& kb = hdc::active_backend();
-    const std::size_t d = config_.dim;
-    const double dd = static_cast<double>(d);
-    const std::size_t k_c = clusters_.size();
-    const std::size_t k_m = models_.size();
-    util::AlignedVector<double> bank((k_c + k_m) * d);
-    std::vector<double> cluster_norm(k_c);
-    for (std::size_t c = 0; c < k_c; ++c) {
-      std::memcpy(bank.data() + c * d, clusters_[c].accumulator.values().data(),
-                  d * sizeof(double));
-      cluster_norm[c] = std::sqrt(clusters_[c].norm2);
-    }
-    for (std::size_t m = 0; m < k_m; ++m) {
-      std::memcpy(bank.data() + (k_c + m) * d, models_[m].accumulator.values().data(),
-                  d * sizeof(double));
-    }
-    const double* rows = dataset.real_plane().data();
-    constexpr std::size_t kChunk = 64;
-    const std::size_t chunks = (dataset.size() + kChunk - 1) / kChunk;
-    util::parallel_for(
-        chunks,
-        [&](std::size_t chunk) {
-          const std::size_t r0 = chunk * kChunk;
-          const std::size_t rn = std::min(dataset.size(), r0 + kChunk);
-          std::vector<double> scores(k_c + k_m);
-          std::vector<double> sims(k_c);
-          for (std::size_t i = r0; i < rn; ++i) {
-            kb.dot_rows(rows + i * d, bank.data(), d, k_c + k_m, d, scores.data());
-            const double qn = std::sqrt(dataset.norms2()[i]);
-            for (std::size_t c = 0; c < k_c; ++c) {
-              sims[c] = (cluster_norm[c] == 0.0 || qn == 0.0)
-                            ? 0.0
-                            : scores[c] / (cluster_norm[c] * qn);
-            }
-            const std::vector<double> conf = confidences_from(sims);
-            double y = 0.0;
-            for (std::size_t m = 0; m < k_m; ++m) {
-              y += conf[m] * (scores[k_c + m] / dd);
-            }
-            out[i] = y;
-          }
-        },
-        use_threads);
+  if (dataset.empty()) {
     return out;
   }
-  if ((config_.cluster_mode == ClusterMode::kQuantized ||
-       config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-      mode.query == QueryPrecision::kBinary && !dataset.empty() &&
-      dataset.dim() == config_.dim) {
-    // Quantized bank scan (§3.1 + §3.2): the Hamming similarities of every
-    // query against all cluster snapshots come from one dot_rows_ternary
-    // popcount sweep over the packed 2-bit-plane bank; with a binary or
-    // ternary model the k model snapshot rows ride in the same bank (full
-    // mask + γ, or dead-zone mask + γ_ternary), making the whole Eq. 5/6
-    // pipeline XNOR+popcount. The integer masked bipolar dots are exact —
-    // full-mask rows reduce to the same d − 2·Hamming the binary scan
-    // produced — and the float arithmetic below replays hamming_similarity /
-    // predict_dot / predict() operation-for-operation, so out[i] is
-    // bit-identical to predict(sample(i)).
-    const hdc::KernelBackend& kb = hdc::active_backend();
-    const std::size_t d = config_.dim;
-    const double dd = static_cast<double>(d);
-    const std::size_t words = dataset.words_per_row();
-    const std::size_t k_c = clusters_.size();
-    const std::size_t k_m = models_.size();
-    const bool bank_models = mode.model == ModelPrecision::kBinary ||
-                             mode.model == ModelPrecision::kTernary;
-    // The persistent bank tracks the snapshots (rebuilt on requantize);
-    // after raw mutable-state access it is stale, so score through a
-    // per-call bank instead — same bytes, same results.
-    PackedTernaryBank local;
-    if (!packed_bank_.valid) {
-      build_packed_bank_into(local);
-    }
-    const PackedTernaryBank& bank = packed_bank_.valid ? packed_bank_ : local;
-    REGHD_INTERNAL_CHECK(bank.rows == k_c + (bank_models ? k_m : 0) &&
-                             bank.words == words,
-                         "packed bank geometry " << bank.rows << "×" << bank.words
-                                                 << " does not match predict shape");
-    const std::uint64_t* bits = dataset.binary_plane().data();
-    constexpr std::size_t kChunk = 64;
-    const std::size_t chunks = (dataset.size() + kChunk - 1) / kChunk;
-    util::parallel_for(
-        chunks,
-        [&](std::size_t chunk) {
-          const std::size_t r0 = chunk * kChunk;
-          const std::size_t rn = std::min(dataset.size(), r0 + kChunk);
-          std::vector<std::int64_t> scores(bank.rows);
-          std::vector<double> sims(k_c);
-          for (std::size_t i = r0; i < rn; ++i) {
-            kb.dot_rows_ternary(bits + i * words, bank.signs.data(),
-                                bank.masks.data(), words, bank.rows, d,
-                                scores.data());
-            for (std::size_t c = 0; c < k_c; ++c) {
-              // hamming_similarity replayed from the exact integer distance
-              // h = (d − dot) / 2.
-              const auto h = static_cast<double>(
-                  (static_cast<std::int64_t>(d) - scores[c]) / 2);
-              sims[c] = 1.0 - 2.0 * h / dd;
-            }
-            const std::vector<double> conf = confidences_from(sims);
-            double y = 0.0;
-            if (bank_models) {
-              // γ·score/D (binary) or γ_ternary·score/D (ternary) — the
-              // bank's per-row scale is exactly that γ, so one expression
-              // replays both predict_dot forms.
-              for (std::size_t m = 0; m < k_m; ++m) {
-                y += conf[m] * (bank.scale[k_c + m] *
-                                static_cast<double>(scores[k_c + m]) / dd);
-              }
-            } else {
-              // Integer (real-precision) model term: not a popcount shape;
-              // reuse the per-sample kernel (still banked sims above).
-              const hdc::EncodedSampleView s = dataset.sample(i);
-              for (std::size_t m = 0; m < k_m; ++m) {
-                y += conf[m] * predict_dot(models_[m], s, mode);
-              }
-            }
-            out[i] = y;
-          }
-        },
-        use_threads);
-    return out;
-  }
+  // One read-only bank shared by every chunk; each chunk owns its per-row
+  // buffers, and rows are independent, so out[i] equals predict(sample i)
+  // for any thread count.
+  PredictScratch prepared;
+  prepare_predict_scratch(prepared);
+  constexpr std::size_t kChunk = 64;
+  const std::size_t chunks = (dataset.size() + kChunk - 1) / kChunk;
   util::parallel_for(
-      dataset.size(), [&](std::size_t i) { out[i] = predict(dataset.sample(i)); },
-      use_threads);
+      chunks,
+      [&](std::size_t chunk) {
+        std::vector<double> scores(prepared.scores.size());
+        std::vector<std::int64_t> qscores(prepared.qscores.size());
+        std::vector<double> sims(prepared.sims.size());
+        scan_rows(dataset, chunk * kChunk, std::min(dataset.size(), (chunk + 1) * kChunk),
+                  prepared, scores, qscores, sims, out);
+      },
+      threads != 0 ? threads : config_.threads);
   return out;
-}
-
-void MultiModelRegressor::prepare_predict_scratch(PredictScratch& scratch) const {
-  const PredictionMode mode = config_.prediction_mode();
-  const std::size_t d = config_.dim;
-  const std::size_t k_c = clusters_.size();
-  const std::size_t k_m = models_.size();
-  scratch.sims.assign(k_c, 0.0);
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal) {
-    // Same bank layout predict_batch builds per call: clusters then models,
-    // one contiguous (k_c + k_m)×D block, with the √‖C‖² cache alongside.
-    scratch.bank.assign((k_c + k_m) * d, 0.0);
-    scratch.cluster_norm.assign(k_c, 0.0);
-    for (std::size_t c = 0; c < k_c; ++c) {
-      std::memcpy(scratch.bank.data() + c * d,
-                  clusters_[c].accumulator.values().data(), d * sizeof(double));
-      scratch.cluster_norm[c] = std::sqrt(clusters_[c].norm2);
-    }
-    for (std::size_t m = 0; m < k_m; ++m) {
-      std::memcpy(scratch.bank.data() + (k_c + m) * d,
-                  models_[m].accumulator.values().data(), d * sizeof(double));
-    }
-    scratch.scores.assign(k_c + k_m, 0.0);
-  } else if ((config_.cluster_mode == ClusterMode::kQuantized ||
-              config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-             mode.query == QueryPrecision::kBinary) {
-    // Build the fallback packed bank only when the persistent one is stale —
-    // predict time picks whichever is current, exactly like predict_batch.
-    if (!packed_bank_.valid) {
-      build_packed_bank_into(scratch.packed);
-    }
-    const std::size_t bank_rows =
-        packed_bank_.valid ? packed_bank_.rows : scratch.packed.rows;
-    scratch.qscores.assign(bank_rows, 0);
-  }
-  scratch.prepared = true;
 }
 
 void MultiModelRegressor::predict_batch_into(const EncodedDataset& dataset,
@@ -532,91 +521,22 @@ void MultiModelRegressor::predict_batch_into(const EncodedDataset& dataset,
               "predict_batch_into output span holds " << out.size()
                                                       << " slots for "
                                                       << dataset.size() << " rows");
-  REGHD_CHECK(scratch.prepared, "predict scratch was never prepared");
+  REGHD_CHECK(scratch.shape == scoring_bank() && scratch.dim == config_.dim &&
+                  scratch.clusters == clusters_.size() && scratch.models == models_.size(),
+              "predict scratch prepared for D=" << scratch.dim << ", k=" << scratch.clusters
+                                                << "/" << scratch.models << ", bank "
+                                                << static_cast<int>(scratch.shape)
+                                                << " does not match this model (D="
+                                                << config_.dim << ", k=" << clusters_.size()
+                                                << "/" << models_.size() << ", bank "
+                                                << static_cast<int>(scoring_bank()) << ")");
   const obs::StageTimer timer(obs::Histo::kPredictBatchNs);
   obs::count(obs::Counter::kPredictBatchRows, dataset.size());
   if (dataset.empty()) {
     return;
   }
-  const PredictionMode mode = config_.prediction_mode();
-  const hdc::KernelBackend& kb = hdc::active_backend();
-  const std::size_t d = config_.dim;
-  const double dd = static_cast<double>(d);
-  const std::size_t k_c = clusters_.size();
-  const std::size_t k_m = models_.size();
-  if (config_.cluster_mode == ClusterMode::kFullPrecision &&
-      mode.query == QueryPrecision::kReal && mode.model == ModelPrecision::kReal &&
-      dataset.dim() == config_.dim) {
-    // Serial replay of predict_batch's full-precision bank sweep. The
-    // parallel form is row-independent, so running rows in order through the
-    // prepared bank produces the identical bit pattern — only the thread
-    // fan-out and the per-call bank/score allocations are gone.
-    const double* rows = dataset.real_plane().data();
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      kb.dot_rows(rows + i * d, scratch.bank.data(), d, k_c + k_m, d,
-                  scratch.scores.data());
-      const double qn = std::sqrt(dataset.norms2()[i]);
-      for (std::size_t c = 0; c < k_c; ++c) {
-        scratch.sims[c] = (scratch.cluster_norm[c] == 0.0 || qn == 0.0)
-                              ? 0.0
-                              : scratch.scores[c] / (scratch.cluster_norm[c] * qn);
-      }
-      confidences_into(scratch.sims);
-      double y = 0.0;
-      for (std::size_t m = 0; m < k_m; ++m) {
-        y += scratch.sims[m] * (scratch.scores[k_c + m] / dd);
-      }
-      out[i] = y;
-    }
-    return;
-  }
-  if ((config_.cluster_mode == ClusterMode::kQuantized ||
-       config_.cluster_mode == ClusterMode::kNaiveBinary) &&
-      mode.query == QueryPrecision::kBinary && dataset.dim() == config_.dim) {
-    // Serial replay of the quantized popcount sweep, scoring through the
-    // persistent bank when current and the prepared fallback otherwise.
-    const std::size_t words = dataset.words_per_row();
-    const bool bank_models = mode.model == ModelPrecision::kBinary ||
-                             mode.model == ModelPrecision::kTernary;
-    const PackedTernaryBank& bank =
-        packed_bank_.valid ? packed_bank_ : scratch.packed;
-    REGHD_INTERNAL_CHECK(bank.rows == k_c + (bank_models ? k_m : 0) &&
-                             bank.words == words &&
-                             scratch.qscores.size() >= bank.rows,
-                         "packed bank geometry " << bank.rows << "×" << bank.words
-                                                 << " does not match predict shape");
-    const std::uint64_t* bits = dataset.binary_plane().data();
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      kb.dot_rows_ternary(bits + i * words, bank.signs.data(), bank.masks.data(),
-                          words, bank.rows, d, scratch.qscores.data());
-      for (std::size_t c = 0; c < k_c; ++c) {
-        const auto h = static_cast<double>(
-            (static_cast<std::int64_t>(d) - scratch.qscores[c]) / 2);
-        scratch.sims[c] = 1.0 - 2.0 * h / dd;
-      }
-      confidences_into(scratch.sims);
-      double y = 0.0;
-      if (bank_models) {
-        for (std::size_t m = 0; m < k_m; ++m) {
-          y += scratch.sims[m] * (bank.scale[k_c + m] *
-                                  static_cast<double>(scratch.qscores[k_c + m]) / dd);
-        }
-      } else {
-        const hdc::EncodedSampleView s = dataset.sample(i);
-        for (std::size_t m = 0; m < k_m; ++m) {
-          y += scratch.sims[m] * predict_dot(models_[m], s, mode);
-        }
-      }
-      out[i] = y;
-    }
-    return;
-  }
-  // Generic modes: per-row predict(), same as predict_batch's last resort
-  // (this path allocates; the serving no-alloc guarantee covers the two bank
-  // fast paths above).
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    out[i] = predict(dataset.sample(i));
-  }
+  scan_rows(dataset, 0, dataset.size(), scratch, scratch.scores, scratch.qscores,
+            scratch.sims, out);
 }
 
 double MultiModelRegressor::evaluate_mse(const EncodedDataset& dataset) const {
@@ -651,10 +571,7 @@ double MultiModelRegressor::train_step(const hdc::EncodedSampleView& sample, dou
   const PredictionMode mode{config_.query_precision, ModelPrecision::kReal};
 
   // Eq. 6: confidence-weighted prediction.
-  double prediction = 0.0;
-  for (std::size_t i = 0; i < models_.size(); ++i) {
-    prediction += conf[i] * predict_dot(models_[i], sample, mode);
-  }
+  const double prediction = blend(conf, sample, mode);
   double error = target - prediction;
   if (config_.error_clip > 0.0) {
     error = std::clamp(error, -config_.error_clip, config_.error_clip);
@@ -786,18 +703,7 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
     // model dots are bit-identical to the per-sample kernel calls.
     const hdc::KernelBackend& kb = hdc::active_backend();
     const std::size_t d = config_.dim;
-    batch_bank_.resize(2 * k * d);
-    batch_cnorm_.resize(k);
-    std::vector<double>& cluster_norm = batch_cnorm_;
-    for (std::size_t c = 0; c < k; ++c) {
-      std::memcpy(batch_bank_.data() + c * d, clusters_[c].accumulator.values().data(),
-                  d * sizeof(double));
-      cluster_norm[c] = std::sqrt(clusters_[c].norm2);
-    }
-    for (std::size_t m = 0; m < k; ++m) {
-      std::memcpy(batch_bank_.data() + (k + m) * d, models_[m].accumulator.values().data(),
-                  d * sizeof(double));
-    }
+    build_real_bank(batch_bank_, batch_cnorm_);
     batch_scores_.resize(b * 2 * k);
     const double* rows = data.real_plane().data();
     util::parallel_for(
@@ -806,21 +712,12 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
           const std::size_t row = indices[j];
           double* scores = batch_scores_.data() + j * 2 * k;
           kb.dot_rows(rows + row * d, batch_bank_.data(), d, 2 * k, d, scores);
-          const double qn = std::sqrt(data.norms2()[row]);
-          double* sims = batch_sims_.data() + j * k;
-          for (std::size_t c = 0; c < k; ++c) {
-            sims[c] = (cluster_norm[c] == 0.0 || qn == 0.0)
-                          ? 0.0
-                          : scores[c] / (cluster_norm[c] * qn);
-          }
-          double* conf = batch_conf_.data() + j * k;
-          std::copy(sims, sims + k, conf);
-          confidences_into(std::span<double>(conf, k));
-          double prediction = 0.0;
-          for (std::size_t m = 0; m < k; ++m) {
-            prediction += conf[m] * (scores[k + m] / dd);
-          }
-          finish_sample(j, prediction);
+          const std::span<double> sims(batch_sims_.data() + j * k, k);
+          const std::span<double> conf(batch_conf_.data() + j * k, k);
+          cosine_from_scores(scores, batch_cnorm_.data(), std::sqrt(data.norms2()[row]), sims);
+          std::copy(sims.begin(), sims.end(), conf.begin());
+          confidences_into(conf);
+          finish_sample(j, real_blend(conf, scores + k, dd));
         },
         use_threads);
   } else {
@@ -830,16 +727,12 @@ void MultiModelRegressor::train_batch(const EncodedDataset& data,
         b,
         [&](std::size_t j) {
           const hdc::EncodedSampleView s = data.sample(indices[j]);
-          double* sims = batch_sims_.data() + j * k;
-          similarities_into(s, std::span<double>(sims, k));
-          double* conf = batch_conf_.data() + j * k;
-          std::copy(sims, sims + k, conf);
-          confidences_into(std::span<double>(conf, k));
-          double prediction = 0.0;
-          for (std::size_t i = 0; i < k; ++i) {
-            prediction += conf[i] * predict_dot(models_[i], s, train_mode);
-          }
-          finish_sample(j, prediction);
+          const std::span<double> sims(batch_sims_.data() + j * k, k);
+          const std::span<double> conf(batch_conf_.data() + j * k, k);
+          similarities_into(s, sims);
+          std::copy(sims.begin(), sims.end(), conf.begin());
+          confidences_into(conf);
+          finish_sample(j, blend(conf, s, train_mode));
         },
         use_threads);
   }

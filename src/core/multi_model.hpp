@@ -21,6 +21,7 @@
 // Prediction (Eq. 6) runs steps 1–3 with the configured §3.2 kernel.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -103,55 +104,72 @@ class MultiModelRegressor {
   /// then re-streaming it against every cluster/model row, each 1024-
   /// component block is encoded (encoder.encode_real_block) and immediately
   /// scored against the (k_c + k_m)-row bank while it is still in cache —
-  /// dot_rows_block carries per-row reduction state across blocks in the
-  /// real/real mode, and the quantized modes sign-encode the block and
-  /// accumulate exact integer popcount scores. Bit-identical to
-  /// predict(encoder.encode(features)) in every mode: the supported
-  /// cluster/query/model combinations fuse (same kernels, same rounding
-  /// sequence — see the predict_batch fast paths this replays), all others
-  /// fall back to exactly that materializing expression. config().
-  /// fused_predict = false forces the fallback. Thread-safe (thread_local
-  /// scratch).
+  /// dot_rows_block carries per-row reduction state across blocks on the
+  /// real bank, and the popcount bank sign-encodes the block and
+  /// accumulates exact integer scores. The summed scores then take the same
+  /// Eq. 5/6 tail as the batch scan, so the result is bit-identical to
+  /// predict(encoder.encode(features)) in every mode. The real bank and the
+  /// popcount bank with model rows fuse; every other mode combination, and
+  /// any encoder without block support, falls back to exactly that
+  /// materializing expression (counted as predict_fused_fallbacks).
+  /// Thread-safe (thread_local scratch).
   [[nodiscard]] double predict_one(const hdc::Encoder& encoder,
                                    std::span<const double> features) const;
 
-  /// Predicts every sample, parallelized over rows with up to `threads`
-  /// workers (0 = config.threads, then REGHD_THREADS / hardware
+  /// Predicts every sample: one prepare_predict_scratch, then the
+  /// predict_batch_into row scan over 64-row chunks in parallel with up to
+  /// `threads` workers (0 = config.threads, then REGHD_THREADS / hardware
   /// concurrency). Result i equals predict(sample i) for any thread count.
   [[nodiscard]] std::vector<double> predict_batch(const EncodedDataset& dataset,
                                                   std::size_t threads = 0) const;
 
-  /// Caller-owned scratch for predict_batch_into: the contiguous
-  /// (k_c + k_m)×D bank (or its packed 2-bit-plane form in quantized modes)
-  /// plus the per-row score/similarity buffers. prepare_predict_scratch
+  /// The bank shape a mode combination scores through (§3.2, Fig. 5b).
+  enum class ScoringBank : std::uint8_t {
+    kUnprepared,  ///< A scratch no prepare_predict_scratch has filled.
+    kReal,        ///< Full-precision clusters, real query, real models: one
+                  ///< contiguous (k_c + k_m)×D float bank.
+    kPopcount,    ///< Binary clusters, binary query: the packed 2-bit-plane
+                  ///< bank (model rows too when the model is binary/ternary).
+    kPerSample,   ///< No bank shape: predict()'s per-sample arithmetic.
+  };
+
+  /// Caller-owned scratch for predict_batch_into: the scoring bank (the
+  /// real bank with its √‖C‖² cache, or the popcount fallback bank when the
+  /// persistent packed bank is stale) plus the per-row score/similarity
+  /// buffers, and the geometry it was prepared for. prepare_predict_scratch
   /// sizes everything once; after that, predict_batch_into touches no
-  /// allocator — the invariant the serving runtime's admission batcher
-  /// asserts on its predict path. Reusable across calls and across
+  /// allocator in any mode — the invariant the serving runtime's admission
+  /// batcher asserts on its predict path. Reusable across calls and across
   /// re-preparations (storage capacity is retained).
   struct PredictScratch {
-    util::AlignedVector<double> bank;  ///< Full-precision cluster+model rows.
-    std::vector<double> cluster_norm;  ///< √‖C‖² per cluster.
-    PackedTernaryBank packed;          ///< Quantized-mode fallback bank.
+    ScoringBank shape = ScoringBank::kUnprepared;  ///< Bank built, or kUnprepared.
+    std::size_t dim = 0;                           ///< D prepared for.
+    std::size_t clusters = 0;                      ///< k_c prepared for.
+    std::size_t models = 0;                        ///< k_m prepared for.
+    util::AlignedVector<double> bank;  ///< Real bank: cluster then model rows.
+    std::vector<double> cluster_norm;  ///< √‖C‖² per cluster (real bank).
+    PackedTernaryBank packed;          ///< Popcount fallback bank when stale.
     std::vector<double> scores;        ///< Per-row real dot scores.
     std::vector<std::int64_t> qscores; ///< Per-row popcount scores.
     std::vector<double> sims;          ///< δ_i scratch (k_c).
-    bool prepared = false;
   };
 
-  /// Builds `scratch` from the current model state (bank copy / packed-bank
-  /// build, norm cache, buffer sizing). Must be re-run whenever the model
-  /// state changes — the serving worker re-prepares once per snapshot swap,
-  /// off the per-query path.
+  /// Builds `scratch` from the current model state — the one place every
+  /// predict path gets a scoring bank from (real bank copy with its norm
+  /// cache, or the stale packed-bank fallback; buffer sizing) — and records
+  /// the geometry and bank shape it was built for. Must be re-run whenever
+  /// the model state changes — the serving worker re-prepares once per
+  /// snapshot swap, off the per-query path.
   void prepare_predict_scratch(PredictScratch& scratch) const;
 
   /// Serial, allocation-free predict_batch: writes predict(sample(i)) into
-  /// out[i] for every row, scoring through `scratch`'s bank. Bit-identical
-  /// to predict_batch(dataset) in every mode (same kernels, same float
-  /// expression sequence; the parallel form is row-independent, so the
-  /// serial order changes nothing). `scratch` must have been prepared
-  /// against this exact model state. The one caveat: mode combinations
-  /// outside the two bank fast paths fall back to per-row predict(), which
-  /// allocates — same as predict_batch's own generic path.
+  /// out[i] for every row, scoring through `scratch`'s bank (mode
+  /// combinations with no bank shape run predict()'s per-sample arithmetic
+  /// into the scratch buffers). Bit-identical to predict_batch(dataset) in
+  /// every mode: both run the same row scan, which is row-independent, so
+  /// the serial order changes nothing. `scratch` must have been prepared
+  /// against this exact model state; a scratch whose recorded D, k or bank
+  /// shape does not match this model throws std::invalid_argument.
   void predict_batch_into(const EncodedDataset& dataset, std::span<double> out,
                           PredictScratch& scratch) const;
 
@@ -243,16 +261,58 @@ class MultiModelRegressor {
   void decay_models(double factor);
 
  private:
-  /// Softmax over the similarity vector at the configured temperature.
-  [[nodiscard]] std::vector<double> confidences_from(std::vector<double> sims) const;
-
   /// Eq. 5 similarities written into a caller-owned buffer of size k (the
   /// allocation-free core of similarities(); thread-safe).
   void similarities_into(const hdc::EncodedSampleView& sample, std::span<double> sims) const;
 
-  /// In-place similarities → confidences transform (z-score + softmax); the
-  /// allocation-free core of confidences_from(). Thread-safe.
+  /// In-place similarities → confidences transform (z-score + softmax at the
+  /// configured temperature). Thread-safe.
   void confidences_into(std::span<double> sims) const;
+
+  /// Eq. 6 blend Σ_i conf_i·predict_dot(M_i, S) at precision `mode`;
+  /// `outputs`, when non-empty, receives each model's term.
+  [[nodiscard]] double blend(std::span<const double> conf, const hdc::EncodedSampleView& sample,
+                             PredictionMode mode, std::span<double> outputs = {}) const;
+
+  /// predict()'s per-sample arithmetic (similarities → confidences → blend)
+  /// into the caller-owned `sims` buffer of size k_c.
+  [[nodiscard]] double reference_row(const hdc::EncodedSampleView& sample,
+                                     std::span<double> sims) const;
+
+  /// The bank shape the configured mode combination scores through.
+  [[nodiscard]] ScoringBank scoring_bank() const noexcept;
+
+  /// Copies the cluster then model accumulators into one contiguous
+  /// (k_c + k_m)×D real bank, with √‖C‖² per cluster alongside.
+  void build_real_bank(util::AlignedVector<double>& bank,
+                       std::vector<double>& cluster_norm) const;
+
+  /// The popcount bank to scan: the persistent one when current, else the
+  /// fallback `scratch` was prepared with.
+  [[nodiscard]] const PackedTernaryBank& popcount_bank(
+      const PredictScratch& scratch) const noexcept;
+
+  /// Eq. 5/6 tail of one real-bank sweep: scores holds C_c·S for every
+  /// cluster then M_m·S for every model; qn = ‖S‖. Cosine sims and softmax
+  /// confidences land in `sims` (size k_c).
+  [[nodiscard]] double real_tail(const double* scores, const double* cluster_norm, double qn,
+                                 std::span<double> sims) const;
+
+  /// Eq. 5/6 tail of one popcount-bank sweep: `totals` holds the exact
+  /// masked bipolar dots of every bank row. Real-precision models are not in
+  /// the bank; their term scores `sample` with the per-sample kernel (so
+  /// `sample` may be null only when the model is binary or ternary).
+  [[nodiscard]] double popcount_tail(const std::int64_t* totals, const PackedTernaryBank& bank,
+                                     std::span<double> sims,
+                                     const hdc::EncodedSampleView* sample) const;
+
+  /// The serial row scan behind predict_batch_into and each predict_batch
+  /// chunk: rows [r0, rn) of `dataset` through `prepared`'s (read-only) bank,
+  /// using the given per-row buffers; writes out[r0, rn).
+  void scan_rows(const EncodedDataset& dataset, std::size_t r0, std::size_t rn,
+                 const PredictScratch& prepared, std::span<double> scores,
+                 std::span<std::int64_t> qscores, std::span<double> sims,
+                 std::span<double> out) const;
 
   /// Farthest-point cluster seeding from the training data (ClusterInit::
   /// kFarthestPoint).
@@ -260,7 +320,7 @@ class MultiModelRegressor {
 
   /// Fills `bank` from the current snapshots at the configured model
   /// precision (the allocation-reusing core of rebuild_packed_bank; also
-  /// builds predict_batch's per-call fallback bank). Thread-safe.
+  /// builds prepare_predict_scratch's stale-bank fallback). Thread-safe.
   void build_packed_bank_into(PackedTernaryBank& bank) const;
 
   RegHDConfig config_;
@@ -268,10 +328,9 @@ class MultiModelRegressor {
   std::vector<ClusterCenter> clusters_;
   PackedTernaryBank packed_bank_;
 
-  // Reusable train_step scratch, hoisted out of the per-sample hot loop
-  // (similarities()/confidences_from() used to allocate per call). predict()
-  // stays allocating: it is const and must remain safe to call concurrently
-  // from predict_batch's per-row fallback.
+  // Reusable train_step scratch, hoisted out of the per-sample hot loop.
+  // predict() stays allocating: it is const and must remain safe to call
+  // concurrently.
   std::vector<double> step_sims_;
   std::vector<double> step_conf_;
 

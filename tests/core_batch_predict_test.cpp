@@ -2,7 +2,10 @@
 // per-sample paths, for every thread count. These tests pin that property
 // across the encoder batch API, the encoded-dataset builder, both
 // regressors, and the end-user pipeline override.
+#include <algorithm>
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -108,64 +111,65 @@ TEST(RegressorBatchTest, MultiModelBatchMatchesPerSamplePredict) {
 }
 
 // The serving runtime's serial, scratch-reusing batch path must be an exact
-// replay of predict_batch in every mode combination it can be configured
-// with — including after further training invalidates the packed bank (the
-// per-call fallback bank) and across scratch reuse/re-preparation.
+// replay of predict_batch and of the per-row predict() reference in every
+// cluster × query × model combination — including after further training
+// invalidates the packed bank (the stale-bank fallback) and across scratch
+// reuse/re-preparation.
 TEST(RegressorBatchTest, PredictBatchIntoMatchesPredictBatchAcrossModes) {
-  struct ModeCase {
-    ClusterMode cluster;
-    QueryPrecision query;
-    ModelPrecision model;
-  };
-  const ModeCase cases[] = {
-      {ClusterMode::kFullPrecision, QueryPrecision::kReal, ModelPrecision::kReal},
-      {ClusterMode::kQuantized, QueryPrecision::kBinary, ModelPrecision::kTernary},
-      {ClusterMode::kQuantized, QueryPrecision::kBinary, ModelPrecision::kBinary},
-      {ClusterMode::kQuantized, QueryPrecision::kBinary, ModelPrecision::kReal},
-      {ClusterMode::kNaiveBinary, QueryPrecision::kBinary, ModelPrecision::kBinary},
-      // Generic fallback path (no bank fast path for a real query on
-      // quantized clusters).
-      {ClusterMode::kQuantized, QueryPrecision::kReal, ModelPrecision::kReal},
-  };
   const data::Dataset data = small_task();
   const auto encoder = hdc::make_encoder(small_encoder_config(data.num_features()));
   const EncodedDataset enc = EncodedDataset::from(*encoder, data);
 
-  for (const ModeCase& mc : cases) {
-    RegHDConfig cfg = small_reghd_config();
-    cfg.cluster_mode = mc.cluster;
-    cfg.query_precision = mc.query;
-    cfg.model_precision = mc.model;
-    MultiModelRegressor reg(cfg);
-    for (std::size_t i = 0; i < enc.size(); ++i) {
-      reg.train_step(enc.sample(i), enc.target(i));
+  for (const ClusterMode cluster : {ClusterMode::kFullPrecision, ClusterMode::kQuantized,
+                                    ClusterMode::kNaiveBinary}) {
+    for (const QueryPrecision query : {QueryPrecision::kReal, QueryPrecision::kBinary}) {
+      for (const ModelPrecision model : {ModelPrecision::kReal, ModelPrecision::kTernary,
+                                         ModelPrecision::kBinary}) {
+        const std::string mode = to_string(cluster) + "/" + to_string(query) + "q/" +
+                                 to_string(model) + "m";
+        RegHDConfig cfg = small_reghd_config();
+        cfg.cluster_mode = cluster;
+        cfg.query_precision = query;
+        cfg.model_precision = model;
+        MultiModelRegressor reg(cfg);
+        for (std::size_t i = 0; i < enc.size(); ++i) {
+          reg.train_step(enc.sample(i), enc.target(i));
+        }
+        reg.requantize();
+
+        MultiModelRegressor::PredictScratch scratch;
+        reg.prepare_predict_scratch(scratch);
+        const std::vector<double> want = reg.predict_batch(enc);
+        std::vector<double> got(enc.size(), -1.0);
+        reg.predict_batch_into(enc, got, scratch);
+        EXPECT_EQ(got, want) << "fresh scratch, " << mode;
+        for (std::size_t i = 0; i < enc.size(); ++i) {
+          ASSERT_EQ(got[i], reg.predict(enc.sample(i))) << mode << " row " << i;
+        }
+
+        // Scratch reuse on a second call must not change anything.
+        std::fill(got.begin(), got.end(), -1.0);
+        reg.predict_batch_into(enc, got, scratch);
+        EXPECT_EQ(got, want) << "reused scratch, " << mode;
+
+        // Train further without requantizing, then invalidate the packed
+        // bank: the re-prepared scratch must carry the fallback bank and
+        // still match the (equally fallback-scoring) predict_batch.
+        for (std::size_t i = 0; i < 16; ++i) {
+          reg.train_step(enc.sample(i), enc.target(i));
+        }
+        (void)reg.mutable_models();
+        ASSERT_FALSE(reg.packed_bank().valid);
+        reg.prepare_predict_scratch(scratch);
+        const std::vector<double> want2 = reg.predict_batch(enc);
+        std::vector<double> got2(enc.size(), -1.0);
+        reg.predict_batch_into(enc, got2, scratch);
+        EXPECT_EQ(got2, want2) << "stale-bank fallback, " << mode;
+        for (std::size_t i = 0; i < enc.size(); ++i) {
+          ASSERT_EQ(got2[i], reg.predict(enc.sample(i))) << mode << " stale row " << i;
+        }
+      }
     }
-    reg.requantize();
-
-    MultiModelRegressor::PredictScratch scratch;
-    reg.prepare_predict_scratch(scratch);
-    const std::vector<double> want = reg.predict_batch(enc);
-    std::vector<double> got(enc.size(), -1.0);
-    reg.predict_batch_into(enc, got, scratch);
-    EXPECT_EQ(got, want) << "fresh scratch, cluster mode "
-                         << static_cast<int>(mc.cluster);
-
-    // Scratch reuse on a second call must not change anything.
-    std::fill(got.begin(), got.end(), -1.0);
-    reg.predict_batch_into(enc, got, scratch);
-    EXPECT_EQ(got, want) << "reused scratch";
-
-    // Train further without requantizing: the packed bank goes stale, so the
-    // re-prepared scratch must carry the fallback bank and still match the
-    // (equally fallback-scoring) predict_batch.
-    for (std::size_t i = 0; i < 16; ++i) {
-      reg.train_step(enc.sample(i), enc.target(i));
-    }
-    reg.prepare_predict_scratch(scratch);
-    const std::vector<double> want2 = reg.predict_batch(enc);
-    std::vector<double> got2(enc.size(), -1.0);
-    reg.predict_batch_into(enc, got2, scratch);
-    EXPECT_EQ(got2, want2) << "stale-bank fallback";
   }
 }
 
@@ -180,6 +184,49 @@ TEST(RegressorBatchTest, PredictBatchIntoRejectsShortSpanAndUnpreparedScratch) {
   reg.prepare_predict_scratch(scratch);
   std::vector<double> tiny(enc.size() - 1);
   EXPECT_THROW(reg.predict_batch_into(enc, tiny, scratch), std::exception);
+}
+
+// A scratch prepared against one model shape must be refused by another —
+// never indexed out of bounds.
+TEST(RegressorBatchTest, PredictBatchIntoRejectsScratchPreparedForAnotherModel) {
+  const data::Dataset data = small_task();
+
+  // Different D and k: a D=128, k=2 scratch on a D=4096, k=8 model.
+  {
+    RegHDConfig small_cfg = small_reghd_config();
+    small_cfg.dim = 128;
+    small_cfg.models = 2;
+    RegHDConfig big_cfg = small_reghd_config();
+    big_cfg.dim = 4096;
+    big_cfg.models = 8;
+    const MultiModelRegressor small(small_cfg);
+    const MultiModelRegressor big(big_cfg);
+    hdc::EncoderConfig enc_cfg = small_encoder_config(data.num_features());
+    enc_cfg.dim = big_cfg.dim;
+    const auto encoder = hdc::make_encoder(enc_cfg);
+    const EncodedDataset enc = EncodedDataset::from(*encoder, data);
+    MultiModelRegressor::PredictScratch scratch;
+    small.prepare_predict_scratch(scratch);
+    std::vector<double> out(enc.size());
+    EXPECT_THROW(big.predict_batch_into(enc, out, scratch), std::invalid_argument);
+  }
+
+  // Same D and k, different cluster mode: a real-bank scratch on a model
+  // that scores through the popcount bank.
+  {
+    RegHDConfig quant_cfg = small_reghd_config();
+    quant_cfg.cluster_mode = ClusterMode::kQuantized;
+    quant_cfg.query_precision = QueryPrecision::kBinary;
+    quant_cfg.model_precision = ModelPrecision::kBinary;
+    const MultiModelRegressor full(small_reghd_config());
+    const MultiModelRegressor quant(quant_cfg);
+    const auto encoder = hdc::make_encoder(small_encoder_config(data.num_features()));
+    const EncodedDataset enc = EncodedDataset::from(*encoder, data);
+    MultiModelRegressor::PredictScratch scratch;
+    full.prepare_predict_scratch(scratch);
+    std::vector<double> out(enc.size());
+    EXPECT_THROW(quant.predict_batch_into(enc, out, scratch), std::invalid_argument);
+  }
 }
 
 TEST(EncodedDatasetTest, AssignRowsMatchesFromRowsAndReusesStorage) {

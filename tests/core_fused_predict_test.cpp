@@ -6,15 +6,14 @@
 //    arithmetic; the rest must fall back to exactly the materializing
 //    expression), at dims below and above the 1024-component fused block,
 //    for both RFF projection storages;
-//  * the fused_predict config knob forces the fallback, with no result
-//    change;
 //  * a stale packed bank (mutable state access) must not change results —
 //    the quantized fused path rebuilds a per-call bank like predict_batch;
 //  * concurrent predict_one calls equal the serial results (thread_local
 //    scratch contract);
 //  * encoders without block support fall back, bit-identically;
 //  * OnlineRegHD::predict routes through the fused path with no behavior
-//    change (fused vs non-fused twin streams agree exactly).
+//    change (it equals the standardize → encode → predict reference at
+//    every step of a stream).
 //
 // The suite runs on whatever kernel backend is live; CI runs it under
 // default dispatch, REGHD_KERNEL=scalar, and the NEON cross job, which
@@ -95,14 +94,13 @@ struct Harness {
 };
 
 Harness make_harness(const ModeCase& mode, std::size_t dim,
-                     hdc::ProjectionStorage storage, bool fused_predict) {
+                     hdc::ProjectionStorage storage) {
   Harness h;
   h.cfg.dim = dim;
   h.cfg.models = 4;
   h.cfg.cluster_mode = mode.cluster;
   h.cfg.query_precision = mode.query;
   h.cfg.model_precision = mode.model;
-  h.cfg.fused_predict = fused_predict;
 
   hdc::EncoderConfig enc_cfg;
   enc_cfg.kind = hdc::EncoderKind::kRffProjection;
@@ -133,7 +131,7 @@ TEST_P(FusedPredictModeTest, FusedBitIdenticalToMaterializingPredict) {
                                 static_cast<std::size_t>(1100)}) {
     for (const hdc::ProjectionStorage storage :
          {hdc::ProjectionStorage::kResident, hdc::ProjectionStorage::kRematerialized}) {
-      const Harness h = make_harness(GetParam(), dim, storage, true);
+      const Harness h = make_harness(GetParam(), dim, storage);
       for (std::size_t i = 0; i < h.dataset.size(); ++i) {
         const double want = h.model->predict(h.encoder->encode(h.dataset.row(i)));
         const double got = h.model->predict_one(*h.encoder, h.dataset.row(i));
@@ -144,21 +142,11 @@ TEST_P(FusedPredictModeTest, FusedBitIdenticalToMaterializingPredict) {
   }
 }
 
-TEST_P(FusedPredictModeTest, FusedPredictFlagOffFallsBackBitIdentically) {
-  const Harness h = make_harness(GetParam(), 200, hdc::ProjectionStorage::kResident,
-                                 /*fused_predict=*/false);
-  for (std::size_t i = 0; i < h.dataset.size(); ++i) {
-    EXPECT_EQ(h.model->predict_one(*h.encoder, h.dataset.row(i)),
-              h.model->predict(h.encoder->encode(h.dataset.row(i))))
-        << "row " << i;
-  }
-}
-
 TEST_P(FusedPredictModeTest, StalePackedBankDoesNotChangeResults) {
   // mutable_models() invalidates the packed bank; the quantized fused path
   // must then score through a per-call bank built from the same snapshots —
   // the exact fallback pattern predict_batch uses — with identical results.
-  Harness h = make_harness(GetParam(), 1100, hdc::ProjectionStorage::kResident, true);
+  Harness h = make_harness(GetParam(), 1100, hdc::ProjectionStorage::kResident);
   std::vector<double> want(h.dataset.size());
   for (std::size_t i = 0; i < h.dataset.size(); ++i) {
     want[i] = h.model->predict_one(*h.encoder, h.dataset.row(i));
@@ -178,8 +166,7 @@ TEST_P(FusedPredictModeTest, ConcurrentCallsMatchSerialResults) {
   // predict_one is const with thread_local scratch: T concurrent callers
   // must reproduce the serial results exactly (T ∈ {1, 4} mirrors the
   // batch-path thread matrix).
-  const Harness h = make_harness(GetParam(), 1100, hdc::ProjectionStorage::kResident,
-                                 true);
+  const Harness h = make_harness(GetParam(), 1100, hdc::ProjectionStorage::kResident);
   std::vector<double> want(h.dataset.size());
   for (std::size_t i = 0; i < h.dataset.size(); ++i) {
     want[i] = h.model->predict_one(*h.encoder, h.dataset.row(i));
@@ -305,34 +292,36 @@ TEST(FusedPredictTest, RffEncodeRealBlockMatchesFullEncodeSlices) {
 }
 
 TEST(FusedPredictTest, OnlinePredictRoutesThroughFusedPathUnchanged) {
-  // Twin streams — identical configs except the fused_predict knob — fed the
-  // same readings must predict identically at every step, through warmup,
-  // cold start, and trained operation. Exercises the standardize → fused
-  // wiring in OnlineRegHD::predict.
+  // OnlineRegHD::predict must equal the reference it routes around at every
+  // step of a stream — through warmup, cold start, and trained operation:
+  // the cold-start mean while cold(), else the standardized reading encoded
+  // in full and scored by the materializing predict(). Exercises the
+  // standardize → fused wiring in OnlineRegHD::predict.
   for (const bool adaptive : {true, false}) {
-    OnlineConfig fused_cfg;
-    fused_cfg.reghd.dim = 1100;
-    fused_cfg.reghd.models = 4;
-    fused_cfg.reghd.cluster_mode = ClusterMode::kQuantized;
-    fused_cfg.reghd.query_precision = QueryPrecision::kBinary;
-    fused_cfg.reghd.model_precision = ModelPrecision::kBinary;
-    fused_cfg.reghd.fused_predict = true;
-    fused_cfg.adaptive_scaling = adaptive;
-    fused_cfg.warmup = 4;
-    OnlineConfig plain_cfg = fused_cfg;
-    plain_cfg.reghd.fused_predict = false;
+    OnlineConfig cfg;
+    cfg.reghd.dim = 1100;
+    cfg.reghd.models = 4;
+    cfg.reghd.cluster_mode = ClusterMode::kQuantized;
+    cfg.reghd.query_precision = QueryPrecision::kBinary;
+    cfg.reghd.model_precision = ModelPrecision::kBinary;
+    cfg.adaptive_scaling = adaptive;
+    cfg.warmup = 4;
 
     constexpr std::size_t kFeatures = 6;
-    OnlineRegHD fused(fused_cfg, kFeatures);
-    OnlineRegHD plain(plain_cfg, kFeatures);
-
+    OnlineRegHD online(cfg, kFeatures);
     const data::Dataset dataset = make_dataset(40, kFeatures, 0x0A71);
+    std::vector<double> scaled(kFeatures);
     for (std::size_t i = 0; i < dataset.size(); ++i) {
-      EXPECT_EQ(fused.predict(dataset.row(i)), plain.predict(dataset.row(i)))
+      double want = 0.0;
+      if (online.cold()) {
+        want = online.cold_prediction();
+      } else {
+        online.standardize_rows_into(dataset.row(i), 1, scaled);
+        want = online.unscale(online.model().predict(online.encoder().encode(scaled)));
+      }
+      EXPECT_EQ(online.predict(dataset.row(i)), want)
           << "pre-update reading " << i << " adaptive " << adaptive;
-      const double yf = fused.update(dataset.row(i), dataset.target(i));
-      const double yp = plain.update(dataset.row(i), dataset.target(i));
-      EXPECT_EQ(yf, yp) << "update reading " << i << " adaptive " << adaptive;
+      (void)online.update(dataset.row(i), dataset.target(i));
     }
   }
 }

@@ -1,13 +1,16 @@
 // Allocation-free invariants of the serving hot paths, asserted by replacing
 // global operator new in this test binary and arming the serve/alloc_probe
-// seam. Three paths are probed after warmup:
+// seam. Four paths are probed after warmup:
 //
 //   * the trainer drain (OnlineRegHD::update per sample) — the regression
 //     this pins: update() used to delegate to predict(), constructing a
 //     fresh standardization vector per sample on the trainer thread;
 //   * the classic predict worker (both admission paths — already covered by
 //     bench/serving, re-asserted here as a test);
-//   * the tenant-mode resident predict path (store active).
+//   * the tenant-mode resident predict path (store active);
+//   * MultiModelRegressor::predict_batch_into itself, in every cluster ×
+//     query × model combination — including those with no bank shape, which
+//     score through the per-sample arithmetic into the scratch buffers.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +19,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/encoded.hpp"
+#include "core/multi_model.hpp"
 #include "core/online.hpp"
 #include "data/synthetic.hpp"
+#include "hdc/encoding.hpp"
 #include "serve/alloc_probe.hpp"
 #include "serve/server.hpp"
 
@@ -204,6 +210,52 @@ TEST(ServeAllocTest, TenantResidentPredictPathIsAllocationFree) {
   const std::uint64_t allocs = disarm();
   server.stop();
   EXPECT_EQ(allocs, 0U) << "tenant-mode resident predict allocated";
+}
+
+TEST(ServeAllocTest, PredictBatchIntoIsAllocationFreeInEveryMode) {
+  const data::Dataset d = data::make_friedman1(80, 8);
+  hdc::EncoderConfig enc_cfg;
+  enc_cfg.kind = hdc::EncoderKind::kRffProjection;
+  enc_cfg.input_dim = d.num_features();
+  enc_cfg.dim = 200;  // not a multiple of 64: padded packed words in play
+  const auto encoder = hdc::make_encoder(enc_cfg);
+  const core::EncodedDataset enc = core::EncodedDataset::from(*encoder, d, 1);
+
+  for (const core::ClusterMode cluster :
+       {core::ClusterMode::kFullPrecision, core::ClusterMode::kQuantized,
+        core::ClusterMode::kNaiveBinary}) {
+    for (const core::QueryPrecision query :
+         {core::QueryPrecision::kReal, core::QueryPrecision::kBinary}) {
+      for (const core::ModelPrecision model :
+           {core::ModelPrecision::kReal, core::ModelPrecision::kTernary,
+            core::ModelPrecision::kBinary}) {
+        core::RegHDConfig cfg;
+        cfg.dim = enc_cfg.dim;
+        cfg.models = 4;
+        cfg.cluster_mode = cluster;
+        cfg.query_precision = query;
+        cfg.model_precision = model;
+        core::MultiModelRegressor reg(cfg);
+        for (std::size_t i = 0; i < 32; ++i) {
+          reg.train_step(enc.sample(i), enc.target(i));
+        }
+        reg.requantize();
+
+        core::MultiModelRegressor::PredictScratch scratch;
+        reg.prepare_predict_scratch(scratch);
+        std::vector<double> out(enc.size());
+        reg.predict_batch_into(enc, out, scratch);  // warm (telemetry shard)
+
+        g_probed_allocs.store(0, std::memory_order_relaxed);
+        tls_in_probed_path = true;
+        reg.predict_batch_into(enc, out, scratch);
+        tls_in_probed_path = false;
+        EXPECT_EQ(g_probed_allocs.load(std::memory_order_relaxed), 0U)
+            << "predict_batch_into allocated in mode " << core::to_string(cluster) << "/"
+            << core::to_string(query) << "q/" << core::to_string(model) << "m";
+      }
+    }
+  }
 }
 
 }  // namespace
